@@ -320,7 +320,7 @@ def _random_split_regular(space: SpecialLinear, rng: Random, max_tries=20_000):
 def _cmd_expand(cfg: ExperimentConfig, outputs: dict) -> dict:
     space = SpecialLinear(cfg.n, cfg.p)
     gens = build_generators(cfg, space)
-    ball = word_ball(gens, cfg.radius, cfg.budget(), cfg.workers)
+    ball = word_ball(gens, cfg.radius, cfg.budget())
     if cfg.format == "json":
         payload = {
             "n": space.n,
@@ -346,9 +346,9 @@ def _cmd_growth_curve(cfg: ExperimentConfig, outputs: dict) -> dict:
     for p in cfg.primes():
         space = SpecialLinear(cfg.n, p)
         gens = build_generators(cfg, space)
-        A = word_ball(gens, cfg.radius, cfg.budget(), cfg.workers)
+        A = word_ball(gens, cfg.radius, cfg.budget())
         reports.append(
-            growth_scan(A, ks=ks, budget=cfg.budget(), workers=cfg.workers)
+            growth_scan(A, ks=ks, budget=cfg.budget())
         )
     if cfg.format == "json":
         _emit(cfg, outputs, _json_bytes([rep.to_dict() for rep in reports]))
@@ -366,7 +366,7 @@ def _cmd_torus_scan(cfg: ExperimentConfig, outputs: dict) -> dict:
     space = SpecialLinear(cfg.n, cfg.p)
     gens = build_generators(cfg, space)
     ks = sorted(set(cfg.k_list))
-    reports = rich_torus_scan(gens, ks, cfg.budget(), cfg.workers)
+    reports = rich_torus_scan(gens, ks, cfg.budget())
     if cfg.format == "json":
         _emit(cfg, outputs, _json_bytes([rep.to_dict(space) for rep in reports]))
     else:
@@ -392,9 +392,9 @@ def _witnesses_for(cfg: ExperimentConfig, space: SpecialLinear,
 def _cmd_trace_lab(cfg: ExperimentConfig, outputs: dict) -> dict:
     space = SpecialLinear(cfg.n, cfg.p)
     gens = build_generators(cfg, space)
-    pool = word_ball(gens, cfg.radius, cfg.budget(), cfg.workers)
+    pool = word_ball(gens, cfg.radius, cfg.budget())
     kmax = max(cfg.k_list)
-    witness_ball = word_ball(gens, kmax, cfg.budget(), cfg.workers)
+    witness_ball = word_ball(gens, kmax, cfg.budget())
     witnesses = _witnesses_for(cfg, space, witness_ball)
     bin_rows = []
     fvec_rows = []
@@ -419,12 +419,12 @@ def _cmd_trace_lab(cfg: ExperimentConfig, outputs: dict) -> dict:
         n = space.n
         trace_counts = {}
         class_counts = {}
+        eligible_members = set()
+        for b in bins:
+            eligible_members.update(b.members.members)
         for i in range(n + 1):
             tuples = {trace_tuple(space, g, t, i).values for g in pool.members}
             trace_counts[str(i)] = len(tuples)
-            eligible_members = set()
-            for b in bins:
-                eligible_members.update(b.members.members)
             class_counts[str(i)] = len(
                 {class_tuple(space, g, t, i).values for g in eligible_members}
             )
@@ -515,9 +515,9 @@ def _cmd_energy(cfg: ExperimentConfig, outputs: dict) -> dict:
 def _cmd_vital(cfg: ExperimentConfig, outputs: dict) -> dict:
     space = SpecialLinear(cfg.n, cfg.p)
     gens = build_generators(cfg, space)
-    base = word_ball(gens, cfg.radius, cfg.budget(), cfg.workers)
+    base = word_ball(gens, cfg.radius, cfg.budget())
     kmax = max(cfg.k_list)
-    witness_ball = word_ball(base, kmax, cfg.budget(), cfg.workers)
+    witness_ball = word_ball(base, kmax, cfg.budget())
     D = ElementSet(
         space,
         frozenset(
@@ -529,9 +529,7 @@ def _cmd_vital(cfg: ExperimentConfig, outputs: dict) -> dict:
             "no split regular witnesses in the scanned ball; "
             "raise --k or --radius"
         )
-    instance = assemble_vital_instance(
-        base, D, cfg.radius, cfg.budget(), cfg.workers
-    )
+    instance = assemble_vital_instance(base, D, cfg.radius, cfg.budget())
     report = vital_diagnostics(
         instance.X, instance.Y, instance.fibers, cfg.delta
     )
@@ -627,7 +625,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", help="output file; stdout when omitted")
     parser.add_argument("--format", choices=("csv", "json"))
     parser.add_argument("--workers", type=int,
-                        help="frontier partitions for expansion (default 1)")
+                        help="accepted for old configs and ignored: expansion "
+                             "runs in one thread (default 1)")
     parser.add_argument("--trials", type=int,
                         help="trial count for lemma-check/energy (default 1000)")
     parser.add_argument("--size", type=int,

@@ -147,7 +147,8 @@ def assemble_vital_instance(A: ElementSet, D: ElementSet, pool_radius: int,
     exceptional-set exclusion) and screened-out ones are recorded, not
     fatal.  X collects tr(t^i a) over each witness's most popular bin,
     Y collects the coefficient vectors f(t), and the fiber of f(t) holds
-    the realized tuples (tr(a), ..., tr(t^{n-1} a)).
+    the realized tuples (tr(a), ..., tr(t^{n-1} a)).  `workers` is
+    accepted for compatibility and ignored.
     """
     space = A.space
     if D.space != space:
@@ -162,7 +163,7 @@ def assemble_vital_instance(A: ElementSet, D: ElementSet, pool_radius: int,
                 raise InvalidWitness("witnesses must be regular semisimple")
             raise UnsupportedTorus("witnesses must be split")
 
-    pool = word_ball(A, pool_radius, budget, workers)
+    pool = word_ball(A, pool_radius, budget)
     kept: list[Mat] = []
     excluded: list[Mat] = []
     for t in D.sorted_members():

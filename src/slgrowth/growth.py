@@ -4,20 +4,48 @@ The working objects are ElementSets, deduplicated collections of group
 elements over one ambient SL_n(F_p).  A_r is computed left-to-right as
 S * A_{r-1} with S = A u A^{-1} u {1}; the triple product A*A*A is
 (A*A)*A with deduplication after every stage and no symmetrization.
+
+Word balls and subgroup closures are breadth-first expansions with two
+interchangeable engines that give the same sets:
+
+- the keyed kernel (_KeyedExpander) encodes a matrix as the integer key
+  sum_i a_i p^(n^2-1-i) of its row-major entries, multiplies frontier
+  chunks by the generators with numpy and deduplicates through a
+  bit-packed bitmap over all p^(n^2) keys;
+- the tuple path (_TupleExpander) multiplies canonical tuples one pair
+  at a time into a Python set.  It is the reference the kernel is
+  tested against.
+
+_expander picks the kernel when the bitmap is at most KEYED_MAX_KEYS
+bits and at most KEYED_BITS_PER_ELEMENT bits per element the expansion
+can reach (|G| for a closure, min(|G|, |S|^radius) for a ball), and the
+tuple path otherwise: for wide key spaces such as SL_3(F_7) and for
+small sets in a large group.  Expansion runs in one thread; the
+`workers` arguments are kept for compatibility and ignored.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field
+from itertools import chain
 from typing import Iterable, Optional
+
+import numpy as np
 
 from .errors import BudgetExceeded, Indeterminate
 from .matrices import Mat, SpecialLinear
 
 DEFAULT_MAX_ELEMENTS = 20_000_000
+
+# Keyed expansion kernel (see _KeyedExpander): a seen-bitmap of at most
+# 2 MiB (the cap must stay below 2^31 keys), at most 1024 bitmap bits
+# per element the expansion may reach, and chunks of about 2^15 products
+# per matmul (and 2^15 keys per decoding pass) to bound temporaries.
+KEYED_MAX_KEYS = 1 << 24
+KEYED_BITS_PER_ELEMENT = 1024
+CHUNK_PRODUCTS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -105,33 +133,116 @@ def symmetrized(A: ElementSet) -> ElementSet:
     return ElementSet(space, frozenset(members))
 
 
-def _expand_frontier(space, seed_members, frontier, workers):
-    """All products s*x for s in the seed, x in the frontier.
+class _TupleExpander:
+    """Breadth-first expansion one tuple product at a time.
 
-    The frontier is partitioned into slices and the partial results are
-    merged by set union, so the outcome is independent of slicing.
+    The reference path: the seen set holds the canonical tuples and a
+    shell is a list of tuples.  `left` multiplies as s*x (word balls),
+    otherwise as x*s (closures).
     """
-    mul = space.mul
-    seed = seed_members
 
-    def produce(chunk):
-        out = set()
-        for x in chunk:
-            for s in seed:
-                out.add(mul(s, x))
-        return out
+    def __init__(self, space: SpecialLinear, start, gens, left: bool):
+        self.mul = space.mul
+        self.gens = list(gens)
+        self.left = left
+        self.start = list(start)
+        self.seen = set(self.start)
 
-    if workers <= 1 or len(frontier) < 2 * workers:
-        return produce(frontier)
-    chunk_size = (len(frontier) + workers - 1) // workers
-    chunks = [
-        frontier[i : i + chunk_size] for i in range(0, len(frontier), chunk_size)
-    ]
-    merged: set = set()
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        for partial in pool.map(produce, chunks):
-            merged |= partial
-    return merged
+    def step(self, frontier) -> list:
+        """The products of the frontier with the generators not seen
+        before; marks them seen."""
+        mul, gens, seen = self.mul, self.gens, self.seen
+        fresh = []
+        for x in frontier:
+            for s in gens:
+                y = mul(s, x) if self.left else mul(x, s)
+                if y not in seen:
+                    seen.add(y)
+                    fresh.append(y)
+        return fresh
+
+    def members(self, shells) -> frozenset:
+        return frozenset(chain.from_iterable(shells))
+
+
+class _KeyedExpander:
+    """Breadth-first expansion by numpy over integer element keys.
+
+    The key of a matrix is its row-major entries read as base-p digits,
+    sum_i a_i p^(n^2-1-i), so key order is canonical tuple order.  A
+    shell is a key array.  Each step multiplies a chunk of the frontier
+    by all generators in one batched matmul, drops the products whose
+    bit in the seen-bitmap (one bit per key, p^(n^2) bits) is set,
+    deduplicates the rest by sorting and sets their bits.  Keys become
+    tuples again only in `members`.
+
+    Keys and entries are int32: keys stay below p^(n^2) <= KEYED_MAX_KEYS
+    and matmul sums below n p^2 <= KEYED_MAX_KEYS, both under 2^31, and
+    int32 halves the cost of the matmul and of the reduction mod p.
+    """
+
+    def __init__(self, space: SpecialLinear, start, gens, left: bool):
+        n, p = space.n, space.p
+        self.n, self.p = n, p
+        self.left = left
+        self.weights = p ** np.arange(n * n - 1, -1, -1, dtype=np.int32)
+        self.gens = self._digits(self._encode(gens))
+        self.seen = np.zeros(-(-(p ** (n * n)) // 8), dtype=np.uint8)
+        self.start = self._encode(start)
+        self._mark(self.start)
+
+    def _encode(self, mats) -> np.ndarray:
+        return np.array(list(mats), dtype=np.int32).reshape(-1, self.n**2) @ self.weights
+
+    def _digits(self, keys) -> np.ndarray:
+        """Keys as an (m, n, n) array of matrix entries."""
+        n = self.n
+        return (keys[:, None] // self.weights % self.p).reshape(-1, n, n)
+
+    def _mark(self, keys):
+        np.bitwise_or.at(self.seen, keys >> 3, (1 << (keys & 7)).astype(np.uint8))
+
+    def step(self, frontier) -> np.ndarray:
+        """Keys of the products of the frontier with the generators not
+        seen before, sorted within each chunk; marks them seen."""
+        gens, p = self.gens, self.p
+        size = max(1, CHUNK_PRODUCTS // max(1, len(gens)))
+        fresh = []
+        for lo in range(0, len(frontier), size):
+            x = self._digits(frontier[lo : lo + size])
+            if self.left:
+                prod = np.matmul(gens[:, None], x[None])
+            else:
+                prod = np.matmul(x[:, None], gens[None])
+            prod = prod.reshape(-1, self.n**2)
+            keys = (prod - prod // p * p) @ self.weights  # int32 // beats %
+            keys = np.sort(keys[(self.seen[keys >> 3] >> (keys & 7)) & 1 == 0])
+            keys = keys[np.diff(keys, prepend=-1) != 0]
+            self._mark(keys)
+            fresh.append(keys)
+        return np.concatenate(fresh) if fresh else frontier[:0]
+
+    def members(self, shells) -> frozenset:
+        return frozenset(chain.from_iterable(
+            self._tuples(shell[lo : lo + CHUNK_PRODUCTS])
+            for shell in shells
+            for lo in range(0, len(shell), CHUNK_PRODUCTS)
+        ))
+
+    def _tuples(self, keys):
+        """Keys back to canonical tuples, decoded column by column."""
+        p = self.p
+        return zip(*[(keys // w % p).tolist() for w in self.weights.tolist()])
+
+
+def _expander(space: SpecialLinear, max_count: int):
+    """The keyed kernel when its bitmap is small both in absolute terms
+    and against the number of elements the expansion may reach (at most
+    KEYED_BITS_PER_ELEMENT bits per element), else the tuple path."""
+    keys = space.p ** (space.n * space.n)
+    if keys <= KEYED_MAX_KEYS and keys <= KEYED_BITS_PER_ELEMENT * max_count:
+        return _KeyedExpander
+    return _TupleExpander
 
 
 def _check_budget(count, budget: Budget, deadline, what: str):
@@ -146,46 +257,56 @@ def _check_budget(count, budget: Budget, deadline, what: str):
         )
 
 
-def _ball_profile(A: ElementSet, radius: int, budget: Budget, workers: int,
-                  snapshots_at=()):
-    """Expand to the given radius, recording |A_r| per radius and
-    optional set snapshots.  Returns (final set, sizes, snapshots)."""
+def _word_bound(letters: int, radius: int, order: int) -> int:
+    """min(order, letters ** radius) without forming a huge power."""
+    bound = 1
+    for _ in range(radius if letters > 1 else 0):
+        bound *= letters
+        if bound >= order:
+            return order
+    return bound
+
+
+def _ball_shells(A: ElementSet, radius: int, budget: Budget):
+    """Expand the word ball shell by shell up to the given radius.
+
+    Returns (expander, shells, sizes): shells[0] is A u A^{-1} u {1},
+    shells[r-1] holds A_r minus A_{r-1} (empty once the ball stops
+    growing), and sizes maps each radius r to |A_r|.
+    """
     if radius < 1:
         raise ValueError("radius must be >= 1")
     space = A.space
     deadline = budget.start_clock()
     seed = sorted(symmetrized(A).members)
-    ball = set(seed)
-    _check_budget(len(ball), budget, deadline, "word ball")
-    frontier = list(seed)
-    sizes = {1: len(ball)}
-    snapshots = {}
-    if 1 in snapshots_at:
-        snapshots[1] = frozenset(ball)
+    bound = _word_bound(len(seed), radius, space.order())
+    grow = _expander(space, bound)(space, seed, seed, left=True)
+    shells = [grow.start]
+    count = len(seed)
+    _check_budget(count, budget, deadline, "word ball")
+    sizes = {1: count}
     for r in range(2, radius + 1):
-        if frontier:
-            produced = _expand_frontier(space, seed, frontier, workers)
-            produced -= ball
-            ball |= produced
-            frontier = list(produced)
-            _check_budget(len(ball), budget, deadline, "word ball")
-        sizes[r] = len(ball)
-        if r in snapshots_at:
-            snapshots[r] = frozenset(ball)
-    return ball, sizes, snapshots
+        if len(shells[-1]):
+            shells.append(grow.step(shells[-1]))
+            count += len(shells[-1])
+            _check_budget(count, budget, deadline, "word ball")
+        sizes[r] = count
+    return grow, shells, sizes
 
 
 def word_ball(A: ElementSet, radius: int, budget: Budget = DEFAULT_BUDGET,
               workers: int = 1) -> ElementSet:
     """A_radius: all products of exactly `radius` factors drawn from
-    A u A^{-1} u {1} (monotone in the radius since 1 is a factor)."""
-    ball, _, _ = _ball_profile(A, radius, budget, workers)
-    return ElementSet(A.space, frozenset(ball))
+    A u A^{-1} u {1} (monotone in the radius since 1 is a factor).
+    `workers` is accepted for compatibility and ignored."""
+    grow, shells, _ = _ball_shells(A, radius, budget)
+    return ElementSet(A.space, grow.members(shells))
 
 
 def triple_product(A: ElementSet, budget: Budget = DEFAULT_BUDGET,
                    workers: int = 1) -> ElementSet:
-    """(A*A)*A with deduplication after each stage, no symmetrization."""
+    """(A*A)*A with deduplication after each stage, no symmetrization.
+    `workers` is accepted for compatibility and ignored."""
     space = A.space
     mul = space.mul
     deadline = budget.start_clock()
@@ -230,25 +351,18 @@ def generated_closure(space: SpecialLinear, A: Optional[ElementSet] = None,
             f"{budget.max_elements}"
         )
     deadline = budget.start_clock()
-    mul = space.mul
     gens = set(A.members)
     gens.update(space.inv(g) for g in A.members)
-    gens = sorted(gens)
-    visited = {space.identity()}
-    frontier = [space.identity()]
-    while frontier:
-        next_frontier = []
-        for x in frontier:
-            for s in gens:
-                y = mul(x, s)
-                if y not in visited:
-                    visited.add(y)
-                    next_frontier.append(y)
-        if len(visited) == order:
-            return frozenset(visited)
-        _check_budget(len(visited), budget, deadline, "subgroup closure")
-        frontier = next_frontier
-    return frozenset(visited)
+    grow = _expander(space, order)(space, [space.identity()], sorted(gens), left=False)
+    shells = [grow.start]
+    count = 1
+    while len(shells[-1]):
+        shells.append(grow.step(shells[-1]))
+        count += len(shells[-1])
+        if count == order:
+            break
+        _check_budget(count, budget, deadline, "subgroup closure")
+    return grow.members(shells)
 
 
 def full_group(space: SpecialLinear, budget: Budget = DEFAULT_BUDGET) -> ElementSet:
@@ -339,7 +453,8 @@ def growth_scan(A: ElementSet, ks=(), budget: Budget = DEFAULT_BUDGET,
 
     Generation is checked when the group order fits the budget,
     otherwise skipped and flagged; epsilon_hat degenerates to 0 with a
-    flag when |A| <= 1.
+    flag when |A| <= 1.  `workers` is accepted for compatibility and
+    ignored.
     """
     space = A.space
     ks = sorted(set(ks))
@@ -352,7 +467,7 @@ def growth_scan(A: ElementSet, ks=(), budget: Budget = DEFAULT_BUDGET,
         generation_ok = generates(A, budget)
         generation_checked = True
     size_a = len(A)
-    aaa = triple_product(A, budget, workers)
+    aaa = triple_product(A, budget)
     size_aaa = len(aaa)
     degenerate = size_a <= 1
     if degenerate:
@@ -362,7 +477,7 @@ def growth_scan(A: ElementSet, ks=(), budget: Budget = DEFAULT_BUDGET,
     ball_sizes: dict = {}
     ball_exponents: dict = {}
     if ks:
-        _, sizes, _ = _ball_profile(A, max(ks), budget, workers)
+        _, _, sizes = _ball_shells(A, max(ks), budget)
         for k in ks:
             ball_sizes[k] = sizes[k]
             if degenerate:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from . import linalg, polys
 from .errors import InvalidWitness, UnsupportedTorus
-from .growth import Budget, DEFAULT_BUDGET, ElementSet, _ball_profile
+from .growth import Budget, DEFAULT_BUDGET, ElementSet, _ball_shells
 from .matrices import Mat, SemisimplicityClass, SpecialLinear
 
 
@@ -111,15 +111,17 @@ def rich_torus_scan(A: ElementSet, ks, budget: Budget = DEFAULT_BUDGET,
 
     The invariant-tuple dedupe is a cheap pre-filter; witnesses whose
     centralizers coincide as sets are then merged exactly.  Reports come
-    back sorted by descending |A_kmax intersect T(K)|.
+    back sorted by descending |A_kmax intersect T(K)|.  `workers` is
+    accepted for compatibility and ignored.
     """
     ks = sorted(set(ks))
     if not ks or any(k < 1 for k in ks):
         raise ValueError("torus scans need a nonempty list of radii >= 1")
     space = A.space
     kmax = ks[-1]
-    ball, _, snapshots = _ball_profile(A, kmax, budget, workers, snapshots_at=ks)
-    balls = {k: snapshots[k] for k in ks}
+    grow, shells, _ = _ball_shells(A, kmax, budget)
+    balls = {k: grow.members(shells[:k]) for k in ks}
+    ball = balls[kmax]
 
     by_kappa: dict = {}
     for g in sorted(ball):

@@ -21,16 +21,26 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, log
 
-from . import linalg
-from .errors import FiberBoundViolation, InvalidWitness, NoBins, UnsupportedTorus
+from . import linalg, polys
+from .errors import (
+    FiberBoundViolation,
+    InvalidWitness,
+    NoBins,
+    NotInGroup,
+    UnsupportedTorus,
+)
 from .growth import ElementSet
 from .matrices import Mat, SemisimplicityClass, SpecialLinear
 from .vandermonde import generalized_vandermonde_det
 
 
-def _require_regular(space: SpecialLinear, t: Mat, what: str) -> None:
-    if not space.is_regular_semisimple(t):
+def _require_regular(space: SpecialLinear, t: Mat, what: str) -> list[int]:
+    """The coefficients of det(xI - t), lowest degree first, after
+    checking that t is regular semisimple (squarefree charpoly)."""
+    full = space.char_poly_full(t)
+    if not polys.is_squarefree(full, space.field):
         raise InvalidWitness(f"{what} needs a regular semisimple witness")
+    return full
 
 
 @dataclass(frozen=True)
@@ -192,15 +202,15 @@ class FVector:
 
 def f_of(space: SpecialLinear, t: Mat) -> FVector:
     """The f map: r_k = -a_k for k = 1..n-1 and r_0 = (-1)^(n+1), read
-    off the invariant tuple of t (Cayley-Hamilton applied to t^n)."""
-    _require_regular(space, t, "the f map")
+    off det(xI - t) = sum_k a_k x^k (Cayley-Hamilton applied to t^n)."""
     n, p = space.n, space.p
-    kappa = space.char_poly(t)  # (a_{n-1}, ..., a_1)
+    full = _require_regular(space, t, "the f map")  # det(xI - t), once
+    if full[0] != (-1) ** n % p:
+        raise NotInGroup("characteristic constant term shows det != 1")
     coeffs = [0] * n
     coeffs[0] = (-1) ** (n + 1) % p
     for k in range(1, n):
-        a_k = kappa[n - 1 - k]
-        coeffs[k] = (-a_k) % p
+        coeffs[k] = (-full[k]) % p
     return FVector(coefficients=tuple(coeffs))
 
 

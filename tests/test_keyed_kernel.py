@@ -1,0 +1,182 @@
+"""The keyed numpy expansion kernel against the tuple-at-a-time path.
+
+Every comparison runs the same public call twice, once with each
+expander forced, and demands identical results: per-radius ball sizes
+and sets, subgroup closures, growth reports, and budget failures down
+to the message and the partial count.
+"""
+
+from random import Random
+
+import pytest
+
+from slgrowth import (
+    Budget,
+    BudgetExceeded,
+    ElementSet,
+    SpecialLinear,
+    generated_closure,
+    growth_scan,
+    standard_generators,
+    word_ball,
+)
+from slgrowth import growth
+from slgrowth.growth import _KeyedExpander, _TupleExpander
+
+SPACES = [(2, 3), (2, 5), (2, 7), (2, 11), (2, 13), (3, 5)]
+SPACE_IDS = [f"SL{n}F{p}" for n, p in SPACES]
+
+
+def on_both_paths(monkeypatch, fn):
+    """fn() with the tuple path forced, then with the keyed kernel."""
+    results = []
+    for expander in (_TupleExpander, _KeyedExpander):
+        monkeypatch.setattr(growth, "_expander", lambda space, count, e=expander: e)
+        results.append(fn())
+    monkeypatch.undo()
+    return results
+
+
+def random_set(space, rng, size):
+    return ElementSet(space, frozenset(space.random_element(rng) for _ in range(size)))
+
+
+def embedded_sl2_in_sl3(space3):
+    """The standard generators of SL_2 in the top-left block of SL_3."""
+    gens = []
+    for g in standard_generators(SpecialLinear(2, space3.p)).members:
+        a, b, c, d = g
+        gens.append(space3.from_rows([[a, b, 0], [c, d, 0], [0, 0, 1]]))
+    return ElementSet.from_matrices(space3, gens)
+
+
+def primitive_root(p):
+    return next(a for a in range(2, p) if len({pow(a, k, p) for k in range(1, p)}) == p - 1)
+
+
+# ---------------------------------------------------------------------------
+# word balls
+
+
+@pytest.mark.parametrize("n,p", SPACES, ids=SPACE_IDS)
+def test_ball_shells_match(monkeypatch, n, p):
+    space = SpecialLinear(n, p)
+    radius = 9 if n == 3 else 2 * p  # SL_2 balls saturate, SL_3(F_5) ones do not
+    sets = [standard_generators(space), random_set(space, Random(p), 2)]
+    for A in sets:
+        def profile():
+            grow, shells, sizes = growth._ball_shells(A, radius, growth.DEFAULT_BUDGET)
+            balls = [grow.members(shells[:r]) for r in range(1, len(shells) + 1)]
+            return type(grow), sizes, balls
+        (tuple_kind, tuple_sizes, tuple_balls), (keyed_kind, keyed_sizes, keyed_balls) = (
+            on_both_paths(monkeypatch, profile))
+        assert (tuple_kind, keyed_kind) == (_TupleExpander, _KeyedExpander)
+        assert keyed_sizes == tuple_sizes
+        assert keyed_balls == tuple_balls
+        assert [len(b) for b in keyed_balls] == [
+            keyed_sizes[r] for r in range(1, len(keyed_balls) + 1)]
+
+
+@pytest.mark.parametrize("n,p", SPACES, ids=SPACE_IDS)
+def test_word_ball_and_growth_scan_match(monkeypatch, n, p):
+    space = SpecialLinear(n, p)
+    A = word_ball(standard_generators(space), 2)
+    balls = on_both_paths(monkeypatch, lambda: word_ball(A, 4))
+    assert balls[0] == balls[1]
+    reports = on_both_paths(
+        monkeypatch, lambda: growth_scan(A, ks=[1, 3, 5], check_generation=n == 2))
+    assert reports[0] == reports[1]
+
+
+# ---------------------------------------------------------------------------
+# closures
+
+
+@pytest.mark.parametrize("n,p", SPACES, ids=SPACE_IDS)
+def test_closure_of_standard_generators_match(monkeypatch, n, p):
+    space = SpecialLinear(n, p)
+    closures = on_both_paths(monkeypatch, lambda: generated_closure(space))
+    assert closures[0] == closures[1]
+    assert len(closures[1]) == space.order()
+
+
+@pytest.mark.parametrize("n,p", [s for s in SPACES if s[0] == 2], ids=SPACE_IDS[:5])
+def test_closure_of_random_sets_match(monkeypatch, n, p):
+    space = SpecialLinear(n, p)
+    rng = Random(1000 + p)
+    sizes = set()
+    for trial in range(12):
+        A = random_set(space, rng, 1 + trial % 3)
+        closures = on_both_paths(monkeypatch, lambda: generated_closure(space, A))
+        assert closures[0] == closures[1]
+        sizes.add(len(closures[1]))
+    assert len(sizes) > 1  # proper subgroups turned up next to the full group
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13])
+def test_closure_of_torus_and_borel_match(monkeypatch, p):
+    space = SpecialLinear(2, p)
+    a = primitive_root(p)
+    diag = space.from_rows([[a, 0], [0, pow(a, -1, p)]])
+    trans = space.from_rows([[1, 1], [0, 1]])
+    torus = ElementSet.from_matrices(space, [diag])
+    borel = ElementSet.from_matrices(space, [diag, trans])
+    for A, order in ((torus, p - 1), (borel, p * (p - 1))):
+        closures = on_both_paths(monkeypatch, lambda: generated_closure(space, A))
+        assert closures[0] == closures[1]
+        assert len(closures[1]) == order
+
+
+def test_closure_of_block_sl2_in_sl3_match(monkeypatch):
+    space = SpecialLinear(3, 5)
+    A = embedded_sl2_in_sl3(space)
+    closures = on_both_paths(monkeypatch, lambda: generated_closure(space, A))
+    assert closures[0] == closures[1]
+    assert len(closures[1]) == SpecialLinear(2, 5).order()
+    assert all(g[2] == g[5] == g[6] == g[7] == 0 and g[8] == 1 for g in closures[1])
+
+
+# ---------------------------------------------------------------------------
+# budget trips
+
+
+def budget_failure(fn):
+    with pytest.raises(BudgetExceeded) as info:
+        fn()
+    return str(info.value), info.value.partial_count
+
+
+@pytest.mark.parametrize("n,p,cap", [(2, 13, 300), (3, 5, 1000)])
+def test_ball_budget_trip_matches(monkeypatch, n, p, cap):
+    A = standard_generators(SpecialLinear(n, p))
+    failures = on_both_paths(
+        monkeypatch, lambda: budget_failure(lambda: word_ball(A, 20, Budget(max_elements=cap))))
+    assert failures[0] == failures[1]
+    assert failures[1][1] > cap
+
+
+def test_closure_deadline_trip_matches(monkeypatch):
+    space = SpecialLinear(2, 13)
+    failures = on_both_paths(
+        monkeypatch,
+        lambda: budget_failure(
+            lambda: generated_closure(space, budget=Budget(max_seconds=1e-9))),
+    )
+    assert failures[0] == failures[1]
+    assert failures[1] == ("subgroup closure exceeded 1e-09 seconds", 5)
+
+
+# ---------------------------------------------------------------------------
+# path choice
+
+
+def test_path_choice_by_key_space_against_element_count():
+    sl2_37 = SpecialLinear(2, 37)
+    sl3_7 = SpecialLinear(3, 7)
+    # closing SL_2(F_37): a 234 KB bitmap for 50,616 elements
+    assert growth._expander(sl2_37, sl2_37.order()) is _KeyedExpander
+    # a radius-3 ball of two generators: at most 125 elements
+    assert growth._expander(sl2_37, 125) is _TupleExpander
+    # 7^9 keys would be a 5 MB bitmap, whatever the element count
+    assert growth._expander(sl3_7, 3933) is _TupleExpander
+    assert growth._expander(sl3_7, sl3_7.order()) is _TupleExpander

@@ -9,6 +9,7 @@ from slgrowth import (
     ElementSet,
     InvalidWitness,
     NoBins,
+    NotInGroup,
     SemisimplicityClass,
     SpecialLinear,
     UnsupportedTorus,
@@ -326,6 +327,27 @@ def test_f_of_rejects_irregular_witness():
     space = SpecialLinear(2, 5)
     with pytest.raises(InvalidWitness):
         f_of(space, space.identity())
+
+
+def test_f_of_rejects_matrix_outside_the_group():
+    space = SpecialLinear(2, 5)
+    # regular (eigenvalues 2 and 1) but det 2: the det check still fires
+    with pytest.raises(NotInGroup):
+        f_of(space, (2, 0, 0, 1))
+    # irregular and det 4: regularity is checked first
+    with pytest.raises(InvalidWitness):
+        f_of(space, (2, 0, 0, 2))
+
+
+def test_f_of_matches_the_invariant_tuple():
+    rng = Random(31)
+    for n, p in ((2, 7), (3, 7), (4, 11)):
+        space = SpecialLinear(n, p)
+        for _ in range(30):
+            t = space.random_regular_semisimple(rng)
+            kappa = space.char_poly(t)  # (a_{n-1}, ..., a_1)
+            expected = [(-1) ** (n + 1) % p] + [(-kappa[n - 1 - k]) % p for k in range(1, n)]
+            assert f_of(space, t).coefficients == tuple(expected)
 
 
 # ---------------------------------------------------------------------------
