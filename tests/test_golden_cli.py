@@ -94,20 +94,13 @@ GOLDEN = {
 
 def run_case(tmp_path, argv, suffix) -> dict:
     """Run one case; return {output name relative to --out: sha256}."""
-    target = str(tmp_path / ("out" + suffix))
-    code = cli.main(argv + ["--out", target])
-    assert code == 0
-    digests = {}
-    for path in (target, target + ".fvectors.csv"):
-        try:
-            with open(path, "rb") as fh:
-                data = fh.read()
-        except FileNotFoundError:
-            continue
-        digests[path[len(target) - len("out" + suffix):]] = (
-            hashlib.sha256(data).hexdigest()
-        )
-    return digests
+    out = "out" + suffix
+    assert cli.main(argv + ["--out", str(tmp_path / out)]) == 0
+    return {
+        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        for name in (out, out + ".fvectors.csv")
+        if (tmp_path / name).exists()
+    }
 
 
 @pytest.mark.parametrize("name,argv,suffix", CASES, ids=[c[0] for c in CASES])
