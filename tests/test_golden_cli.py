@@ -1,9 +1,12 @@
 """Frozen sha256 digests of every subcommand's output files.
 
 Small seeded runs of each subcommand; their output bytes were frozen
-before the keyed expansion kernel replaced the tuple loops, so any
-change to how balls, closures or reports are computed that alters an
-output byte fails here.  Refreeze only for a change meant to alter the
+before the keyed expansion kernel replaced the tuple loops (the CSV
+cases and the expand JSON cases) and before one row-reduction core
+replaced the separate elimination loops (the other JSON cases, the
+n = 3 trace-lab and n = 4 lemma-check runs, and the p = 257 cases for
+two-byte entries).  Any change to how balls, closures, eliminations or
+reports are computed that alters an output byte fails here.  Refreeze only for a change meant to alter the
 outputs, and say so where the change is logged.
 """
 
@@ -43,6 +46,31 @@ CASES = [
     ("energy",
      ["energy", "--p", "101", "--size", "40", "--trials", "25", "--seed", "5"],
      ".csv"),
+    ("growth-curve-json",
+     ["growth-curve", "--n", "2", "--p-list", "7,11,13", "--radius", "2",
+      "--k", "3", "--k", "5", "--generators", "random", "--seed", "4",
+      "--format", "json"], ".json"),
+    ("torus-scan-json",
+     ["torus-scan", "--n", "2", "--p", "11", "--radius", "2", "--k", "1",
+      "--k", "3", "--seed", "2", "--format", "json"], ".json"),
+    ("trace-lab-n3-json",
+     ["trace-lab", "--n", "3", "--p", "5", "--radius", "2", "--k", "6",
+      "--format", "json"], ".json"),
+    ("vital-json",
+     ["vital", "--n", "2", "--p", "11", "--radius", "2", "--k", "2",
+      "--seed", "6", "--format", "json"], ".json"),
+    ("lemma-check-n4-json",
+     ["lemma-check", "--n", "4", "--p", "11", "--trials", "20", "--seed", "3",
+      "--format", "json"], ".json"),
+    ("energy-json",
+     ["energy", "--p", "101", "--size", "40", "--trials", "25", "--seed", "5",
+      "--format", "json"], ".json"),
+    ("expand-p257-json",
+     ["expand", "--n", "2", "--p", "257", "--radius", "2", "--format", "json"],
+     ".json"),
+    ("torus-scan-p257",
+     ["torus-scan", "--n", "2", "--p", "257", "--radius", "2", "--k", "1",
+      "--k", "2", "--seed", "1"], ".csv"),
 ]
 
 # case name -> {output file relative to --out: sha256}
@@ -88,6 +116,38 @@ GOLDEN = {
     "energy": {
         "out.csv":
             "31a2c4f7b29e89b97f56fb8c3f96d25a4c44898d6fc0dcbced4da105868d469f",
+    },
+    "growth-curve-json": {
+        "out.json":
+            "0fa136e430a2052f81868ac7aac694f05b3c49fb5ef9c1df68c66ea20aa1017b",
+    },
+    "torus-scan-json": {
+        "out.json":
+            "65cb8193c45c567da9d058ea277e76204cafb3e629108bb1a0869a24bfab0db1",
+    },
+    "trace-lab-n3-json": {
+        "out.json":
+            "8b4931af4f9f4b6e09f20880b320c3778d5add093973bcc91bad3baa6f6e13cd",
+    },
+    "vital-json": {
+        "out.json":
+            "1871ef0620c5bb0628270bd9642eca0bc57b5f4ceaf74a4b1604ff12b4a740d3",
+    },
+    "lemma-check-n4-json": {
+        "out.json":
+            "22329f3be4605232ba59a75812bcb81fb44c72323eab490585be24a1c70650c7",
+    },
+    "energy-json": {
+        "out.json":
+            "9177056bbc6c52d9248d98cc8b94ab0ab3fc53dd0aa1f06939901d51a2175940",
+    },
+    "expand-p257-json": {
+        "out.json":
+            "26ad56d84a795b4b39d586f018174f840c1eae84e3ef7d397a9d5221daaccb6f",
+    },
+    "torus-scan-p257": {
+        "out.csv":
+            "c07fc7bd6328fbbad80cd94681586377fd862e4eb96884ab1dc8e5b6fe6dff9a",
     },
 }
 
