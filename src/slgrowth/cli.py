@@ -18,7 +18,7 @@ import hashlib
 import json
 import sys
 import time
-from dataclasses import asdict, dataclass, field as dc_field
+from dataclasses import asdict, dataclass, field as dc_field, fields
 from fractions import Fraction
 from random import Random
 from typing import Optional
@@ -634,11 +634,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_CONFIG_KEYS = {
-    "n", "p", "p_list", "generators", "seed", "count", "radius", "k_list",
-    "delta", "budget_elems", "budget_secs", "out", "format", "workers",
-    "trials", "size",
-}
+_CONFIG_KEYS = frozenset(f.name for f in fields(ExperimentConfig))
 
 
 def load_config(args: argparse.Namespace) -> ExperimentConfig:

@@ -17,11 +17,17 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InvalidWitness, UnsupportedTorus
 from .field import PrimeField
 from .growth import Budget, DEFAULT_BUDGET, ElementSet, word_ball
 from .matrices import Mat
-from .tracelab import NoBins, dyadic_bins, f_of, lindep_check, popular_tuple
+from .tracelab import (
+    NoBins,
+    _require_split,
+    dyadic_bins,
+    f_of,
+    lindep_check,
+    popular_tuple,
+)
 
 _CHUNK_ENTRIES = 8_000_000  # cap on the live difference-table block
 
@@ -137,8 +143,7 @@ class VitalInstance(NamedTuple):
 
 
 def assemble_vital_instance(A: ElementSet, D: ElementSet, pool_radius: int,
-                            budget: Budget = DEFAULT_BUDGET,
-                            workers: int = 1) -> VitalInstance:
+                            budget: Budget = DEFAULT_BUDGET) -> VitalInstance:
     """Build (X, Y, fibers) from a base set A and torus elements D.
 
     Pool is the radius-`pool_radius` word ball of A.  Each witness t in
@@ -147,8 +152,7 @@ def assemble_vital_instance(A: ElementSet, D: ElementSet, pool_radius: int,
     exceptional-set exclusion) and screened-out ones are recorded, not
     fatal.  X collects tr(t^i a) over each witness's most popular bin,
     Y collects the coefficient vectors f(t), and the fiber of f(t) holds
-    the realized tuples (tr(a), ..., tr(t^{n-1} a)).  `workers` is
-    accepted for compatibility and ignored.
+    the realized tuples (tr(a), ..., tr(t^{n-1} a)).
     """
     space = A.space
     if D.space != space:
@@ -158,10 +162,7 @@ def assemble_vital_instance(A: ElementSet, D: ElementSet, pool_radius: int,
     n = space.n
     field = space.field
     for t in D.members:
-        if space.split_eigenvalues(t) is None:
-            if not space.is_regular_semisimple(t):
-                raise InvalidWitness("witnesses must be regular semisimple")
-            raise UnsupportedTorus("witnesses must be split")
+        _require_split(space, t, "vital instances")
 
     pool = word_ball(A, pool_radius, budget)
     kept: list[Mat] = []

@@ -20,8 +20,7 @@ _expander picks the kernel when the bitmap is at most KEYED_MAX_KEYS
 bits and at most KEYED_BITS_PER_ELEMENT bits per element the expansion
 can reach (|G| for a closure, min(|G|, |S|^radius) for a ball), and the
 tuple path otherwise: for wide key spaces such as SL_3(F_7) and for
-small sets in a large group.  Expansion runs in one thread; the
-`workers` arguments are kept for compatibility and ignored.
+small sets in a large group.  Expansion runs in one thread.
 """
 
 from __future__ import annotations
@@ -294,19 +293,16 @@ def _ball_shells(A: ElementSet, radius: int, budget: Budget):
     return grow, shells, sizes
 
 
-def word_ball(A: ElementSet, radius: int, budget: Budget = DEFAULT_BUDGET,
-              workers: int = 1) -> ElementSet:
+def word_ball(A: ElementSet, radius: int,
+              budget: Budget = DEFAULT_BUDGET) -> ElementSet:
     """A_radius: all products of exactly `radius` factors drawn from
-    A u A^{-1} u {1} (monotone in the radius since 1 is a factor).
-    `workers` is accepted for compatibility and ignored."""
+    A u A^{-1} u {1} (monotone in the radius since 1 is a factor)."""
     grow, shells, _ = _ball_shells(A, radius, budget)
     return ElementSet(A.space, grow.members(shells))
 
 
-def triple_product(A: ElementSet, budget: Budget = DEFAULT_BUDGET,
-                   workers: int = 1) -> ElementSet:
-    """(A*A)*A with deduplication after each stage, no symmetrization.
-    `workers` is accepted for compatibility and ignored."""
+def triple_product(A: ElementSet, budget: Budget = DEFAULT_BUDGET) -> ElementSet:
+    """(A*A)*A with deduplication after each stage, no symmetrization."""
     space = A.space
     mul = space.mul
     deadline = budget.start_clock()
@@ -448,13 +444,12 @@ class GrowthReport:
 
 
 def growth_scan(A: ElementSet, ks=(), budget: Budget = DEFAULT_BUDGET,
-                workers: int = 1, check_generation: bool = True) -> GrowthReport:
+                check_generation: bool = True) -> GrowthReport:
     """Measure |A|, |A*A*A|, epsilon_hat, and ball sizes for each k.
 
     Generation is checked when the group order fits the budget,
     otherwise skipped and flagged; epsilon_hat degenerates to 0 with a
-    flag when |A| <= 1.  `workers` is accepted for compatibility and
-    ignored.
+    flag when |A| <= 1.
     """
     space = A.space
     ks = sorted(set(ks))

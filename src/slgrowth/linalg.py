@@ -1,8 +1,10 @@
 """Small dense exact linear algebra over Z/pZ (internal).
 
-Matrices here are lists of row lists; everything works by Gaussian
-elimination with an inverse lookup from the field.  Sizes stay tiny
-(n <= a few dozen), so clarity beats asymptotics.
+Matrices here are lists of row lists.  One routine, row_reduce, does
+every Gaussian elimination in the package: determinants, ranks and
+kernel vectors here, and the inverse and the minimal polynomial in
+SpecialLinear.  Sizes stay tiny (n <= a few dozen), so clarity beats
+asymptotics.
 """
 
 from __future__ import annotations
@@ -10,105 +12,89 @@ from __future__ import annotations
 from .field import PrimeField
 
 
-def det_mod(rows: list[list[int]], field: PrimeField) -> int:
-    """Determinant by elimination with row swaps; consumes a copy."""
-    p = field.p
-    m = [list(r) for r in rows]
-    n = len(m)
-    sign = 1
-    det = 1
-    for col in range(n):
-        pivot_row = None
-        for r in range(col, n):
-            if m[r][col]:
-                pivot_row = r
-                break
-        if pivot_row is None:
-            return 0
-        if pivot_row != col:
-            m[col], m[pivot_row] = m[pivot_row], m[col]
-            sign = -sign
-        pivot = m[col][col]
-        det = (det * pivot) % p
-        inv_pivot = field.inv(pivot)
-        row_c = m[col]
-        for r in range(col + 1, n):
-            factor = (m[r][col] * inv_pivot) % p
-            if factor:
-                row_r = m[r]
-                for c in range(col, n):
-                    row_r[c] = (row_r[c] - factor * row_c[c]) % p
-    return det % p if sign == 1 else (-det) % p
+def row_reduce(rows, field: PrimeField, width: int | None = None,
+               jordan: bool = False) -> tuple[list[list[int]], list[int], int]:
+    """Row echelon form of a copy of `rows`; returns (m, pivots, det).
 
-
-def rank_mod(rows: list[list[int]], field: PrimeField) -> int:
-    p = field.p
-    m = [list(r) for r in rows]
-    nrows = len(m)
-    ncols = len(m[0]) if m else 0
-    rank = 0
-    for col in range(ncols):
-        pivot_row = None
-        for r in range(rank, nrows):
-            if m[r][col]:
-                pivot_row = r
-                break
-        if pivot_row is None:
-            continue
-        m[rank], m[pivot_row] = m[pivot_row], m[rank]
-        inv_pivot = field.inv(m[rank][col])
-        row_k = m[rank]
-        for r in range(rank + 1, nrows):
-            factor = (m[r][col] * inv_pivot) % p
-            if factor:
-                row_r = m[r]
-                for c in range(col, ncols):
-                    row_r[c] = (row_r[c] - factor * row_k[c]) % p
-        rank += 1
-        if rank == nrows:
-            break
-    return rank
-
-
-def nullspace_vector(rows: list[list[int]], field: PrimeField) -> list[int] | None:
-    """One kernel vector of the square system, deterministically chosen.
-
-    Reduces to row echelon form, sets the first free variable to 1 and
-    the other free variables to 0, then back-substitutes.  Returns None
-    when the matrix is invertible.
+    Each of the first `width` columns (all of them by default) is
+    pivoted on its first nonzero entry at or below the current rank
+    row.  `pivots` lists the pivot columns, so the first len(pivots)
+    rows of m are the pivot rows.  With `jordan` a back-substitution
+    pass then scales the pivot rows to 1 and clears above each pivot,
+    giving the reduced echelon form.  `det` is the product of the
+    pivots times the sign of the row swaps, 0 once a column has no
+    pivot: the determinant when the first `width` columns form a square
+    matrix.
     """
     p = field.p
     m = [list(r) for r in rows]
     nrows = len(m)
     ncols = len(m[0]) if m else 0
-    pivots: list[tuple[int, int]] = []  # (row, col)
+    if width is None:
+        width = ncols
+    pivots: list[int] = []
+    det = 1
     rank = 0
-    for col in range(ncols):
-        pivot_row = None
+    for col in range(width):
         for r in range(rank, nrows):
             if m[r][col]:
-                pivot_row = r
                 break
-        if pivot_row is None:
+        else:
+            det = 0
             continue
-        m[rank], m[pivot_row] = m[pivot_row], m[rank]
-        inv_pivot = field.inv(m[rank][col])
-        m[rank] = [(c * inv_pivot) % p for c in m[rank]]
+        if r != rank:
+            m[rank], m[r] = m[r], m[rank]
+            det = -det
         row_k = m[rank]
-        for r in range(nrows):
-            if r != rank and m[r][col]:
-                factor = m[r][col]
-                row_r = m[r]
+        pivot = row_k[col]
+        det = (det * pivot) % p
+        inv_pivot = field.inv(pivot)
+        for r in range(rank + 1, nrows):
+            row_r = m[r]
+            factor = (row_r[col] * inv_pivot) % p
+            if factor:
                 for c in range(col, ncols):
                     row_r[c] = (row_r[c] - factor * row_k[c]) % p
-        pivots.append((rank, col))
+        pivots.append(col)
         rank += 1
-    free_cols = [c for c in range(ncols) if c not in {pc for _, pc in pivots}]
-    if not free_cols:
+        if rank == nrows:
+            break
+    if jordan:
+        for k in reversed(range(rank)):
+            col = pivots[k]
+            inv_pivot = field.inv(m[k][col])
+            row_k = m[k] = [(x * inv_pivot) % p for x in m[k]]
+            for row_r in m[:k]:
+                factor = row_r[col]
+                if factor:
+                    for c in range(col, ncols):
+                        row_r[c] = (row_r[c] - factor * row_k[c]) % p
+    return m, pivots, det
+
+
+def det_mod(rows: list[list[int]], field: PrimeField) -> int:
+    """Determinant of a square matrix."""
+    return row_reduce(rows, field)[2]
+
+
+def rank_mod(rows: list[list[int]], field: PrimeField) -> int:
+    return len(row_reduce(rows, field)[1])
+
+
+def nullspace_vector(rows, field: PrimeField) -> list[int] | None:
+    """One kernel vector, deterministically chosen, or None when the
+    columns are independent.
+
+    From the reduced echelon form the first free variable is set to 1
+    and the other free variables to 0; the pivot variables follow.
+    """
+    m, pivots, _ = row_reduce(rows, field, jordan=True)
+    ncols = len(m[0]) if m else 0
+    free = next((c for c in range(ncols) if c not in pivots), None)
+    if free is None:
         return None
-    free = free_cols[0]
     vec = [0] * ncols
     vec[free] = 1
-    for r, c in pivots:
-        vec[c] = (-m[r][free]) % p
+    for row, c in zip(m, pivots):
+        vec[c] = (-row[free]) % field.p
     return vec

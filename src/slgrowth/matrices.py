@@ -217,28 +217,14 @@ class SpecialLinear:
                 (g[0] * di) % p,
             )
         # Gauss-Jordan on [g | I]
-        m = [list(g[i * n : i * n + n]) + [0] * n for i in range(n)]
-        for i in range(n):
-            m[i][n + i] = 1
-        for col in range(n):
-            pivot_row = None
-            for r in range(col, n):
-                if m[r][col]:
-                    pivot_row = r
-                    break
-            if pivot_row is None:
-                raise SingularMatrix("determinant is zero")
-            m[col], m[pivot_row] = m[pivot_row], m[col]
-            inv_pivot = field.inv(m[col][col])
-            m[col] = [(x * inv_pivot) % p for x in m[col]]
-            row_c = m[col]
-            for r in range(n):
-                if r != col and m[r][col]:
-                    factor = m[r][col]
-                    row_r = m[r]
-                    for c in range(col, 2 * n):
-                        row_r[c] = (row_r[c] - factor * row_c[c]) % p
-        return tuple(m[i][n + j] for i in range(n) for j in range(n))
+        ident = self._identity
+        m, pivots, _ = linalg.row_reduce(
+            [g[i * n : i * n + n] + ident[i * n : i * n + n] for i in range(n)],
+            field, width=n, jordan=True,
+        )
+        if len(pivots) < n:
+            raise SingularMatrix("determinant is zero")
+        return tuple(x for row in m for x in row[n:])
 
     def power(self, g: Mat, e: int) -> Mat:
         if e < 0:
@@ -312,49 +298,15 @@ class SpecialLinear:
         return tuple(coeffs[n - 1 - j] for j in range(n - 1))
 
     def minimal_polynomial(self, g: Mat) -> list[int]:
-        """Monic minimal polynomial by iterating Krylov spans.
+        """Monic minimal polynomial: the first linear dependence among
+        I, g, ..., g^n read as n^2-vectors.
 
-        For each basis vector, reduce the Krylov sequence v, gv, g^2 v,
-        ... against an echelon basis while tracking the power combination
-        that produced each vector; the first dependence yields the local
-        annihilator, and the lcm over basis vectors is the answer.
+        The kernel vector of the matrix whose columns are those powers
+        has its first free column, the degree of the minimal
+        polynomial, set to 1 and every later column set to 0.
         """
-        n, p, field = self.n, self.p, self.field
-        m_poly: list[int] = [1]
-        for start in range(n):
-            if polys.degree(m_poly) == n:
-                break
-            basis: list[tuple[int, list[int], list[int]]] = []
-            vec = [0] * n
-            vec[start] = 1
-            combo = [1]
-            while True:
-                w = list(vec)
-                cw = list(combo)
-                for pivot, bvec, bcombo in basis:
-                    c = w[pivot]
-                    if c:
-                        for i in range(n):
-                            w[i] = (w[i] - c * bvec[i]) % p
-                        if len(cw) < len(bcombo):
-                            cw += [0] * (len(bcombo) - len(cw))
-                        for i, b in enumerate(bcombo):
-                            cw[i] = (cw[i] - c * b) % p
-                pivot = next((i for i, x in enumerate(w) if x), None)
-                if pivot is None:
-                    ann = polys.monic(polys.trim(cw), field)
-                    m_poly = polys.lcm(m_poly, ann, field)
-                    break
-                inv_pivot = field.inv(w[pivot])
-                w = [(x * inv_pivot) % p for x in w]
-                cw = [(x * inv_pivot) % p for x in cw]
-                basis.append((pivot, w, cw))
-                # next Krylov vector: apply g to the reduced vector
-                vec = [
-                    sum(g[i * n + k] * w[k] for k in range(n)) % p for i in range(n)
-                ]
-                combo = [0] + cw
-        return m_poly
+        powers = self.power_list(g, self.n)
+        return polys.trim(linalg.nullspace_vector(list(zip(*powers)), self.field))
 
     # -- semisimplicity ----------------------------------------------------
 
@@ -418,13 +370,7 @@ class SpecialLinear:
     def kappa_hex(self, kappa: tuple) -> str:
         """Stable hex rendering of an invariant tuple (same entry width
         as encode)."""
-        if self._entry_width == 1:
-            return bytes(kappa).hex()
-        out = bytearray()
-        for x in kappa:
-            out.append(x >> 8)
-            out.append(x & 0xFF)
-        return bytes(out).hex()
+        return self.encode(kappa).hex()
 
     # -- sampling ------------------------------------------------------------
 

@@ -96,15 +96,6 @@ def gcd(f: list, g: list, field: PrimeField) -> list:
     return monic(a, field)
 
 
-def lcm(f: list, g: list, field: PrimeField) -> list:
-    if not f or not g:
-        return []
-    d = gcd(f, g, field)
-    q, r = divmod_poly(mul(f, g, field.p), d, field)
-    assert not r
-    return monic(q, field)
-
-
 def deriv(f: list, p: int) -> list:
     return trim([(i * c) % p for i, c in enumerate(f)][1:])
 

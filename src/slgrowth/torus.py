@@ -17,9 +17,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import linalg, polys
-from .errors import InvalidWitness, UnsupportedTorus
+from .errors import InvalidWitness
 from .growth import Budget, DEFAULT_BUDGET, ElementSet, _ball_shells
 from .matrices import Mat, SemisimplicityClass, SpecialLinear
+from .tracelab import _require_split
 
 
 @dataclass(frozen=True)
@@ -104,15 +105,14 @@ class TorusReport:
         }
 
 
-def rich_torus_scan(A: ElementSet, ks, budget: Budget = DEFAULT_BUDGET,
-                    workers: int = 1) -> list[TorusReport]:
+def rich_torus_scan(A: ElementSet, ks,
+                    budget: Budget = DEFAULT_BUDGET) -> list[TorusReport]:
     """Scan the radius-max(ks) ball for regular semisimple witnesses,
     one per invariant tuple, and report each distinct centralizer torus.
 
     The invariant-tuple dedupe is a cheap pre-filter; witnesses whose
     centralizers coincide as sets are then merged exactly.  Reports come
-    back sorted by descending |A_kmax intersect T(K)|.  `workers` is
-    accepted for compatibility and ignored.
+    back sorted by descending |A_kmax intersect T(K)|.
     """
     ks = sorted(set(ks))
     if not ks or any(k < 1 for k in ks):
@@ -184,14 +184,7 @@ class CharacterSpec:
 def eigenvector_basis(space: SpecialLinear, g0: Mat) -> tuple[list[int], list[list[int]]]:
     """Eigenvalues of a split regular witness sorted ascending as ints,
     with one deterministic eigenvector per eigenvalue."""
-    eigs = space.split_eigenvalues(g0)
-    if eigs is None:
-        if not space.is_regular_semisimple(g0):
-            raise InvalidWitness("witness must be regular semisimple")
-        raise UnsupportedTorus(
-            "eigenvalue coordinates need a split witness "
-            "(characteristic polynomial with n rational roots)"
-        )
+    eigs = _require_split(space, g0, "eigenvalue coordinates")
     n, p = space.n, space.p
     vectors = []
     for lam in eigs:

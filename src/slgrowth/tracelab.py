@@ -43,6 +43,21 @@ def _require_regular(space: SpecialLinear, t: Mat, what: str) -> list[int]:
     return full
 
 
+def _require_split(space: SpecialLinear, t: Mat, what: str) -> list[int]:
+    """The eigenvalues of t sorted ascending as ints, after checking
+    that t is regular semisimple (InvalidWitness) and split over F_p
+    (UnsupportedTorus)."""
+    eigs = space.split_eigenvalues(t)
+    if eigs is None:
+        if not space.is_regular_semisimple(t):
+            raise InvalidWitness(f"{what} needs a regular semisimple witness")
+        raise UnsupportedTorus(
+            f"{what} needs a split witness "
+            "(characteristic polynomial with n rational roots)"
+        )
+    return eigs
+
+
 @dataclass(frozen=True)
 class TraceTuple:
     omitted_index: int
@@ -257,11 +272,7 @@ def lindep_check(space: SpecialLinear, t: Mat) -> tuple[bool, bool]:
     are always dependent on the n-dimensional diagonal; every n-subset
     is independent exactly when each omit-one determinant is nonzero.
     """
-    eigs = space.split_eigenvalues(t)
-    if eigs is None:
-        if not space.is_regular_semisimple(t):
-            raise InvalidWitness("dependence checks need a regular semisimple witness")
-        raise UnsupportedTorus("dependence checks work in eigenvalue coordinates")
+    eigs = _require_split(space, t, "dependence checks")
     field = space.field
     n = space.n
     rows = []

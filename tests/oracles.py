@@ -130,6 +130,27 @@ def matrix_rank_oracle(rows, p):
     return rank
 
 
+def minimal_polynomial_oracle(n, p, g):
+    """Lowest-degree monic f with f(g) = 0 (coefficients low-to-high),
+    found by trying every monic polynomial of degree 0, 1, ..., n."""
+    powers = [tuple(int(i == j) for i in range(n) for j in range(n))]
+    for _ in range(n):
+        prev = powers[-1]
+        powers.append(tuple(
+            sum(prev[i * n + k] * g[k * n + j] for k in range(n)) % p
+            for i in range(n) for j in range(n)
+        ))
+    for degree in range(n + 1):
+        for low in itertools.product(range(p), repeat=degree):
+            coeffs = list(low) + [1]
+            if all(
+                sum(c * powers[k][e] for k, c in enumerate(coeffs)) % p == 0
+                for e in range(n * n)
+            ):
+                return coeffs
+    raise AssertionError("no annihilating polynomial of degree <= n")
+
+
 def classify_oracle(space, g):
     """Diagonalizability over the splitting field, decided rationally.
 

@@ -231,3 +231,24 @@ def test_reruns_are_byte_identical(capsys, tmp_path):
     assert code_a == code_b == 0
     assert open(a, "rb").read() == open(b, "rb").read()
     assert man_a["outputs"][a] == man_b["outputs"][b]
+
+
+def test_workers_flag_and_config_key_do_not_change_output(capsys, tmp_path):
+    args = ["growth-curve", "--n", "2", "--p-list", "7,11", "--radius", "2",
+            "--k", "3", "--generators", "random", "--seed", "4"]
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps({"workers": 4}))
+    runs = {
+        "default": [],
+        "flag": ["--workers", "3"],
+        "config": ["--config", str(cfg_path)],
+    }
+    data, echoed = {}, {}
+    for name, extra in runs.items():
+        target = str(tmp_path / f"{name}.csv")
+        code, _, manifest = run_cli(capsys, args + extra + ["--out", target])
+        assert code == 0
+        data[name] = open(target, "rb").read()
+        echoed[name] = manifest["config"]["workers"]
+    assert data["flag"] == data["default"] == data["config"]
+    assert echoed == {"default": 1, "flag": 3, "config": 4}

@@ -194,7 +194,7 @@ def test_det_mod_matches_permutation_expansion():
     rng = Random(5)
     for p in (5, 13):
         fld = PrimeField(p)
-        for n in (2, 3, 4):
+        for n in (2, 3, 4, 5):
             for _ in range(60):
                 rows = [[rng.randrange(p) for _ in range(n)] for _ in range(n)]
                 assert linalg.det_mod(rows, fld) == _perm_det(rows, p)
@@ -223,6 +223,42 @@ def test_nullspace_vector_annihilates():
             assert sum(r * x for r, x in zip(row, v)) % 11 == 0
         found += 1
     assert found == 200
+
+
+def _check_nullspace_vector(rows, p):
+    """The kernel vector is None exactly at full column rank; otherwise
+    it annihilates the rows, is 1 at the first free column and 0 at
+    every later free column (a column is free when it does not raise
+    the rank of the columns before it)."""
+    ncols = len(rows[0])
+    v = linalg.nullspace_vector(rows, PrimeField(p))
+    ranks = [matrix_rank_oracle([row[:c] for row in rows], p)
+             for c in range(ncols + 1)]
+    free = [c for c in range(ncols) if ranks[c + 1] == ranks[c]]
+    if not free:
+        assert v is None
+        return 0
+    for row in rows:
+        assert sum(r * x for r, x in zip(row, v)) % p == 0
+    assert v[free[0]] == 1
+    assert all(v[c] == 0 for c in free[1:])
+    return len(free)
+
+
+def test_nullspace_vector_tall_and_wide_match_oracle():
+    rng = Random(12)
+    deficient = 0
+    for p in (3, 5):
+        for _ in range(100):
+            tall = [[rng.randrange(p) for _ in range(4)] for _ in range(9)]
+            if rng.random() < 0.3:  # force a dependent column
+                c = rng.randrange(1, 4)
+                for row in tall:
+                    row[c] = (row[0] + 2 * row[c - 1]) % p
+            deficient += _check_nullspace_vector(tall, p) > 0
+            wide = [[rng.randrange(p) for _ in range(5)] for _ in range(2)]
+            assert _check_nullspace_vector(wide, p) >= 3
+    assert deficient
 
 
 def test_nullspace_vector_none_for_full_rank():

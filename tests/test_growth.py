@@ -124,12 +124,6 @@ def test_ball_budget_exceeded_carries_partial_count():
     assert info.value.partial_count > 20
 
 
-def test_ball_workers_do_not_change_result():
-    space = SpecialLinear(2, 7)
-    A = standard_generators(space)
-    assert word_ball(A, 4, workers=1) == word_ball(A, 4, workers=3)
-
-
 # ---------------------------------------------------------------------------
 # triple products
 
@@ -229,14 +223,6 @@ def test_growth_scan_ball2_sl2_f7_strict_growth():
     assert report.generation_checked and report.generation_ok
     assert report.ball_sizes[2] >= report.size_a
     assert report.ball_sizes[3] >= report.ball_sizes[2]
-
-
-def test_growth_scan_worker_independence():
-    space = SpecialLinear(2, 7)
-    A = word_ball(standard_generators(space), 2)
-    r1 = growth_scan(A, ks=[2], workers=1)
-    r3 = growth_scan(A, ks=[2], workers=3)
-    assert r1 == r3
 
 
 def test_growth_csv_row_shape():

@@ -12,7 +12,13 @@ from slgrowth import (
     full_group,
 )
 
-from oracles import charpoly_oracle, classify_oracle, conjugation_orbit
+from oracles import (
+    charpoly_oracle,
+    classify_oracle,
+    conjugation_orbit,
+    minimal_polynomial_oracle,
+    poly_mul,
+)
 
 RS = SemisimplicityClass.REGULAR_SEMISIMPLE
 SS = SemisimplicityClass.SEMISIMPLE_NOT_REGULAR
@@ -94,9 +100,15 @@ def test_inverse_examples_and_law():
 
 
 def test_inverse_of_singular_raises():
-    space = sl(2, 5)
-    with pytest.raises(SingularMatrix):
-        space.inv((1, 2, 2, 4))  # det 0
+    for rows in (
+        [[1, 2], [2, 4]],
+        [[1, 2, 3], [2, 4, 6], [0, 0, 1]],  # column 1 has no pivot
+        [[0, 1, 2, 3], [0, 4, 5, 6], [0, 0, 0, 1], [0, 2, 1, 5]],  # column 0
+        [[1, 2, 3, 4], [2, 3, 4, 5], [3, 4, 5, 6], [0, 0, 1, 1]],  # rank 3
+    ):
+        space = sl(len(rows), 7)
+        with pytest.raises(SingularMatrix):
+            space.inv(space.from_rows(rows))
 
 
 def test_det_closed_forms_match_product_rule():
@@ -259,6 +271,68 @@ def test_minimal_polynomial_properties():
                     )
                 power = space.mul(power, g)
             assert all(v == 0 for v in value)
+
+
+def _linear_factors(roots, p):
+    out = [1]
+    for r in roots:
+        out = poly_mul(out, [(-r) % p, 1], p)
+    return out
+
+
+def _jordan(n, p, blocks):
+    """Block-diagonal matrix of Jordan blocks [(eigenvalue, size), ...]."""
+    rows = [[0] * n for _ in range(n)]
+    i = 0
+    for lam, size in blocks:
+        for k in range(size):
+            rows[i + k][i + k] = lam % p
+            if k + 1 < size:
+                rows[i + k][i + k + 1] = 1
+        i += size
+    assert i == n
+    return rows
+
+
+def test_minimal_polynomial_of_non_regular_elements():
+    p = 11
+    a, b = 3, pow(3, -1, p)  # b = a^-1
+    cases = {
+        # (n, Jordan blocks): expected minimal polynomial roots
+        (2, ((1, 1), (1, 1))): [1],
+        (2, ((-1, 1), (-1, 1))): [-1],
+        (2, ((1, 2),)): [1, 1],
+        (2, ((-1, 2),)): [-1, -1],
+        (3, ((1, 1), (1, 1), (1, 1))): [1],
+        (3, ((a, 1), (a, 1), (b * b, 1))): [a, b * b],  # diag(a, a, a^-2)
+        (3, ((a, 2), (b * b, 1))): [a, a, b * b],
+        (3, ((1, 2), (1, 1))): [1, 1],
+        (3, ((1, 3),)): [1, 1, 1],
+        (4, ((1, 1),) * 4): [1],
+        (4, ((-1, 1),) * 4): [-1],
+        (4, ((a, 1), (a, 1), (b, 1), (b, 1))): [a, b],
+        (4, ((a, 1), (a, 1), (a, 1), (b ** 3, 1))): [a, b ** 3],
+        (4, ((1, 2), (1, 2))): [1, 1],
+        (4, ((1, 4),)): [1, 1, 1, 1],
+    }
+    for (n, blocks), roots in cases.items():
+        space = sl(n, p)
+        g = space.check_member(space.from_rows(_jordan(n, p, blocks)))
+        expected = _linear_factors(roots, p)
+        assert space.minimal_polynomial(g) == expected, (n, blocks)
+        assert minimal_polynomial_oracle(n, p, g) == expected
+
+
+def test_minimal_polynomial_matches_oracle():
+    for n, p in ((2, 5), (2, 7)):
+        space = sl(n, p)
+        for g in sorted(full_group(space).members):
+            assert space.minimal_polynomial(g) == minimal_polynomial_oracle(n, p, g)
+    rng = Random(21)
+    space = sl(3, 5)
+    for _ in range(150):
+        g = space.random_element(rng)
+        assert space.minimal_polynomial(g) == minimal_polynomial_oracle(3, 5, g)
 
 
 def test_split_eigenvalues():
