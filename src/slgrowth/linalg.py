@@ -57,8 +57,6 @@ def row_reduce(rows, field: PrimeField, width: int | None = None,
                     row_r[c] = (row_r[c] - factor * row_k[c]) % p
         pivots.append(col)
         rank += 1
-        if rank == nrows:
-            break
     if jordan:
         for k in reversed(range(rank)):
             col = pivots[k]
