@@ -23,6 +23,8 @@ from fractions import Fraction
 from random import Random
 from typing import Optional
 
+import numpy as np
+
 from .errors import (
     BudgetExceeded,
     GenerationFailed,
@@ -96,6 +98,14 @@ def stream_rng(seed: int, stream: str) -> Random:
     return Random(int.from_bytes(digest[:8], "big"))
 
 
+_INT_KEYS = ("n", "p", "seed", "count", "radius", "budget_elems", "workers",
+             "trials", "size")
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass
 class ExperimentConfig:
     """Resolved run parameters; flags override config-file values."""
@@ -118,6 +128,7 @@ class ExperimentConfig:
     size: int = 64
 
     def validate(self):
+        self._check_types()
         if self.generators not in ("standard", "random"):
             raise ValueError(f"unknown generator mode {self.generators!r}")
         if self.format not in ("csv", "json"):
@@ -143,6 +154,29 @@ class ExperimentConfig:
         for p in self.primes():
             SpecialLinear(self.n, p)  # p odd prime > n, entry width checks
         return self
+
+    def _check_types(self):
+        """Reject wrong-typed values (say from a JSON config file) before
+        the range checks compare them."""
+        for key in _INT_KEYS:
+            value = getattr(self, key)
+            if not _is_int(value):
+                raise ValueError(f"{key} must be an int, got {value!r}")
+        for key in ("k_list", "p_list"):
+            value = getattr(self, key)
+            if value is None and key == "p_list":
+                continue
+            if not isinstance(value, list) or not all(map(_is_int, value)):
+                raise ValueError(f"{key} must be a list of ints, got {value!r}")
+        if self.budget_secs is not None and (
+            isinstance(self.budget_secs, bool)
+            or not isinstance(self.budget_secs, (int, float))
+        ):
+            raise ValueError(
+                f"budget_secs must be a number, got {self.budget_secs!r}"
+            )
+        if self.out is not None and not isinstance(self.out, str):
+            raise ValueError(f"out must be a path string, got {self.out!r}")
 
     def primes(self) -> list[int]:
         return list(self.p_list) if self.p_list else [self.p]
@@ -271,9 +305,8 @@ def lindep_suite(n: int, p: int, trials: int, rng: Random) -> tuple[int, int]:
     fld = space.field
     passes = 0
     for _ in range(trials):
-        t = _random_split_regular(space, rng)
+        t, eigs = _random_split_regular(space, rng)
         dependent_all, independent_subsets = lindep_check(space, t)
-        eigs = space.split_eigenvalues(t)
         expected = all(
             elementary_symmetric(fld, eigs, m) != 0 for m in range(1, n)
         )
@@ -306,10 +339,12 @@ def cyclic_nonvanishing_suite(n: int, p: int, trials: int,
 
 
 def _random_split_regular(space: SpecialLinear, rng: Random, max_tries=20_000):
+    """(g, its sorted eigenvalues) for a seeded split regular g."""
     for _ in range(max_tries):
         g = space.random_element(rng)
-        if space.split_eigenvalues(g) is not None:
-            return g
+        eigs = space.split_eigenvalues(g)
+        if eigs is not None:
+            return g, eigs
     raise RuntimeError("no split regular element found; field too small?")
 
 
@@ -495,8 +530,8 @@ def _cmd_energy(cfg: ExperimentConfig, outputs: dict) -> dict:
         ny = rng.randint(1, cap)
         X = ScalarSet(fld, frozenset(rng.sample(range(p), nx)))
         Y = ScalarSet(fld, frozenset(rng.sample(range(p), ny)))
-        e = additive_energy(X, Y)
-        support = len({(a - b) % p for a in X.elements for b in Y.elements})
+        e, counts = additive_energy(X, Y)
+        support = int(np.count_nonzero(counts))
         lower = -(-((nx * ny) ** 2) // support)  # ceil division
         upper = nx * ny * min(nx, ny)
         all_bounds_ok &= lower <= e <= upper
@@ -574,7 +609,8 @@ def run(cfg: ExperimentConfig, subcommand: str) -> RunManifest:
         status, error = "budget-exceeded", str(exc)
     except GenerationFailed as exc:
         status, error = "generation-failed", str(exc)
-    except (ValueError, SlgrowthError) as exc:
+    except (ValueError, OSError, SlgrowthError) as exc:
+        # OSError: an --out target that cannot be written
         status, error = "config-error", str(exc)
     manifest = RunManifest(
         version=__version__,
@@ -587,8 +623,11 @@ def run(cfg: ExperimentConfig, subcommand: str) -> RunManifest:
         error=error,
     )
     if cfg.out and status == "ok":
-        with open(cfg.out + ".manifest.json", "w", encoding="utf-8") as fh:
-            fh.write(manifest.to_json() + "\n")
+        try:
+            with open(cfg.out + ".manifest.json", "w", encoding="utf-8") as fh:
+                fh.write(manifest.to_json() + "\n")
+        except OSError as exc:
+            manifest.status, manifest.error = "config-error", str(exc)
     return manifest
 
 
@@ -642,6 +681,8 @@ def load_config(args: argparse.Namespace) -> ExperimentConfig:
     if args.config:
         with open(args.config, encoding="utf-8") as fh:
             loaded = json.load(fh)
+        if not isinstance(loaded, dict):
+            raise ValueError("config file must hold one JSON object")
         unknown = set(loaded) - _CONFIG_KEYS
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")

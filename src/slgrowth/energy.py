@@ -108,17 +108,19 @@ class FiberFamily:
         return self.assignments.get(tuple(y), frozenset())
 
 
-def additive_energy(X: ScalarSet, Y: ScalarSet) -> int:
-    """sum_d r(d)^2 with r(d) = #{(a, b) in X x Y : a - b = d mod p}.
+def additive_energy(X: ScalarSet, Y: ScalarSet) -> tuple[int, np.ndarray]:
+    """(sum_d r(d)^2, r) with r(d) = #{(a, b) in X x Y : a - b = d mod p}.
 
-    The difference table is built with integer numpy blocks; counts stay
-    far inside int64 at desk scale, so the result is exact.
+    r is the int64 difference-count vector of length p, so |X - Y| is
+    its number of nonzero entries.  The difference table is built with
+    integer numpy blocks; counts stay far inside int64 at desk scale, so
+    the energy is exact.  Empty inputs give (0, zeros(p)).
     """
     if X.field != Y.field:
         raise ValueError("energy needs both sets over one field")
-    if not X.elements or not Y.elements:
-        return 0
     p = X.field.p
+    if not X.elements or not Y.elements:
+        return 0, np.zeros(p, dtype=np.int64)
     xs = np.array(X.sorted_elements(), dtype=np.int64)
     ys = np.array(Y.sorted_elements(), dtype=np.int64)
     counts = np.zeros(p, dtype=np.int64)
@@ -126,7 +128,7 @@ def additive_energy(X: ScalarSet, Y: ScalarSet) -> int:
     for lo in range(0, len(xs), step):
         block = (xs[lo : lo + step, None] - ys[None, :]) % p
         counts += np.bincount(block.ravel(), minlength=p)
-    return int(np.dot(counts, counts))
+    return int(np.dot(counts, counts)), counts
 
 
 def dilate(X: ScalarSet, y: int) -> ScalarSet:
@@ -296,7 +298,7 @@ def vital_diagnostics(X: ScalarSet, Y: VectorSet, fibers: FiberFamily,
     pi1 = sorted({y[0] for y in Y.elements})
     energy_sum = 0
     for y1 in pi1:
-        energy_sum += additive_energy(X, dilate(X, y1))
+        energy_sum += additive_energy(X, dilate(X, y1))[0]
     return VitalReport(
         p=p,
         delta=delta,

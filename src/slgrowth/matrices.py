@@ -331,14 +331,12 @@ class SpecialLinear:
 
     def split_eigenvalues(self, g: Mat) -> Optional[list[int]]:
         """Eigenvalues sorted ascending as ints when g is split regular
-        semisimple (n distinct rational roots); None otherwise."""
-        f = self.char_poly_full(g)
-        if not polys.is_squarefree(f, self.field):
-            return None
-        roots = polys.rational_roots(f, self.field)
+        semisimple (n distinct rational roots); None otherwise.  A monic
+        degree-n charpoly with n distinct roots is already squarefree."""
+        roots = polys.rational_roots(self.char_poly_full(g), self.field)
         if len(roots) != self.n:
             return None
-        return sorted(roots)
+        return roots
 
     # -- canonical bytes ----------------------------------------------------
 

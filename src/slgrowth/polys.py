@@ -135,7 +135,7 @@ def is_squarefree(f: list, field: PrimeField) -> bool:
 
 
 def rational_roots(f: list, field: PrimeField) -> list[int]:
-    """All roots in Z/pZ, by direct scan (desk-scale p)."""
+    """All roots in Z/pZ in ascending order, by direct scan (desk-scale p)."""
     return [x for x in range(field.p) if evaluate(f, x, field.p) == 0]
 
 

@@ -211,6 +211,11 @@ def energy_by_pairs(p, xs, ys):
     return sum(c * c for c in counts.values())
 
 
+def support_by_pairs(p, xs, ys):
+    """The difference set X - Y, collected pair by pair."""
+    return {(a - b) % p for a in xs for b in ys}
+
+
 def energy_by_autocorrelation(p, xs, ys):
     """E(X,Y) = sum_d c_X(d) * c_Y(d) with c_S(d) = #{(a,a') in S^2: a-a'=d}."""
     cx = Counter((a - b) % p for a in xs for b in xs)

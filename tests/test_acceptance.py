@@ -124,7 +124,7 @@ def test_2b_energy_vs_convolution_oracle():
     for _ in range(100):
         xs = rng.sample(range(p), rng.randint(1, 1000))
         ys = rng.sample(range(p), rng.randint(1, 1000))
-        mine = additive_energy(
+        mine, _ = additive_energy(
             ScalarSet(fld, frozenset(xs)), ScalarSet(fld, frozenset(ys))
         )
         checked += 1

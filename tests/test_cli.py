@@ -3,6 +3,8 @@
 import hashlib
 import json
 
+import pytest
+
 from slgrowth import cli
 
 
@@ -126,6 +128,48 @@ def test_config_file_rejects_unknown_keys(capsys, tmp_path):
     assert "configuration error" in captured.err
 
 
+@pytest.mark.parametrize("key, value", [
+    ("n", "3"), ("p", 7.0), ("p_list", [7, "11"]), ("generators", 1),
+    ("seed", True), ("count", 2.0), ("radius", "2"), ("k_list", 2),
+    ("delta", [1, 2]), ("budget_elems", False), ("budget_secs", "1"),
+    ("out", 5), ("format", ["csv"]), ("workers", 1.5), ("trials", None),
+    ("size", "64"),
+])
+def test_config_file_rejects_wrong_typed_values(capsys, tmp_path, key, value):
+    cfg_path = tmp_path / "typed.json"
+    cfg_path.write_text(json.dumps({key: value}))
+    code = cli.main(["lemma-check", "--config", str(cfg_path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("configuration error: ")
+    assert captured.out == ""
+
+
+def test_config_file_must_hold_an_object(capsys, tmp_path):
+    cfg_path = tmp_path / "list.json"
+    cfg_path.write_text("5")
+    code = cli.main(["expand", "--config", str(cfg_path)])
+    assert code == 2
+    assert "configuration error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("where", ["directory", "missing-parent", "sidecar"])
+def test_unwritable_out_is_a_config_error(capsys, tmp_path, where):
+    target = {
+        "directory": tmp_path,
+        "missing-parent": tmp_path / "nope" / "ball.txt",
+        "sidecar": tmp_path / "ball.txt",
+    }[where]
+    if where == "sidecar":
+        (tmp_path / "ball.txt.manifest.json").mkdir()
+    code = cli.main(["expand", "--n", "2", "--p", "5", "--out", str(target)])
+    out = capsys.readouterr().out
+    assert code == 2
+    manifest = json.loads(out)  # exactly one manifest, nothing else
+    assert manifest["status"] == "config-error"
+    assert manifest["error"]
+
+
 def test_lemma_check_csv_dialect_and_counts(capsys, tmp_path):
     target = str(tmp_path / "lemmas.csv")
     code, _, manifest = run_cli(
@@ -207,6 +251,9 @@ def test_energy_rows_stay_inside_bounds(capsys, tmp_path):
     for line in lines[1:]:
         row = line.split(",")
         assert int(row[6]) <= int(row[4]) <= int(row[7])
+        nx, ny, support = int(row[2]), int(row[3]), int(row[5])
+        assert max(nx, ny) <= support <= min(101, nx * ny)
+        assert int(row[6]) == -(-((nx * ny) ** 2) // support)
 
 
 def test_vital_smoke(capsys, tmp_path):

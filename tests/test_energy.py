@@ -1,9 +1,11 @@
 """Additive energy, dilation, fiber families, and vital diagnostics."""
 
+from collections import Counter
 from fractions import Fraction
 from math import log
 from random import Random
 
+import numpy as np
 import pytest
 
 import slgrowth.energy as energy_mod
@@ -27,6 +29,7 @@ from oracles import (
     energy_by_autocorrelation,
     energy_by_convolution,
     energy_by_pairs,
+    support_by_pairs,
 )
 
 
@@ -40,19 +43,29 @@ def scalar(p, values):
 
 def test_energy_frozen_small():
     X = scalar(7, [1, 2])
-    assert additive_energy(X, X) == 6
+    e, counts = additive_energy(X, X)
+    assert e == 6
+    assert counts.tolist() == [2, 1, 0, 0, 0, 0, 1]
 
 
 def test_energy_full_field():
     for p in (5, 7, 11):
         F = scalar(p, range(p))
-        assert additive_energy(F, F) == p**3
+        e, counts = additive_energy(F, F)
+        assert e == p**3
+        assert counts.tolist() == [p] * p
 
 
 def test_energy_empty_and_singletons():
-    assert additive_energy(scalar(7, []), scalar(7, [1, 2])) == 0
-    assert additive_energy(scalar(7, [3]), scalar(7, [])) == 0
-    assert additive_energy(scalar(7, [3]), scalar(7, [5])) == 1
+    for X, Y in ((scalar(7, []), scalar(7, [1, 2])),
+                 (scalar(7, [3]), scalar(7, []))):
+        e, counts = additive_energy(X, Y)
+        assert e == 0
+        assert counts.dtype == np.int64
+        assert counts.tolist() == [0] * 7
+    e, counts = additive_energy(scalar(7, [3]), scalar(7, [5]))
+    assert e == 1
+    assert counts.tolist() == [0, 0, 0, 0, 0, 1, 0]  # 3 - 5 = 5 mod 7
 
 
 def test_energy_field_mismatch():
@@ -61,20 +74,22 @@ def test_energy_field_mismatch():
 
 
 def test_energy_mass_and_cauchy_schwarz():
+    # the returned counts against pair-by-pair oracles: mass |X||Y|,
+    # every entry, and the support |X - Y| behind the Cauchy-Schwarz bound
     rng = Random(5)
-    for p in (11, 101, 997):
-        xs = sorted(rng.sample(range(p), min(40, p - 1)))
-        ys = sorted(rng.sample(range(p), min(25, p - 1)))
-        X, Y = scalar(p, xs), scalar(p, ys)
-        counts = [0] * p
-        for a in xs:
-            for b in ys:
-                counts[(a - b) % p] += 1
-        assert sum(counts) == len(xs) * len(ys)
-        support = sum(1 for c in counts if c)
-        e = additive_energy(X, Y)
-        assert e * support >= (len(xs) * len(ys)) ** 2
-        assert e <= len(xs) * len(ys) * min(len(xs), len(ys))
+    for p in (11, 101, 997, 10007):
+        for _ in range(4):
+            xs = rng.sample(range(p), rng.randint(1, min(80, p - 1)))
+            ys = rng.sample(range(p), rng.randint(1, min(80, p - 1)))
+            e, counts = additive_energy(scalar(p, xs), scalar(p, ys))
+            assert counts.dtype == np.int64 and counts.shape == (p,)
+            assert int(counts.sum()) == len(xs) * len(ys)
+            by_pairs = Counter((a - b) % p for a in xs for b in ys)
+            assert counts.tolist() == [by_pairs[d] for d in range(p)]
+            support = int(np.count_nonzero(counts))
+            assert support == len(support_by_pairs(p, xs, ys))
+            assert e * support >= (len(xs) * len(ys)) ** 2
+            assert e <= len(xs) * len(ys) * min(len(xs), len(ys))
 
 
 def test_energy_matches_all_three_oracles():
@@ -83,7 +98,7 @@ def test_energy_matches_all_three_oracles():
         for _ in range(8):
             xs = rng.sample(range(p), rng.randint(1, min(60, p - 1)))
             ys = rng.sample(range(p), rng.randint(1, min(60, p - 1)))
-            e = additive_energy(scalar(p, xs), scalar(p, ys))
+            e, _ = additive_energy(scalar(p, xs), scalar(p, ys))
             assert e == energy_by_pairs(p, xs, ys)
             assert e == energy_by_autocorrelation(p, xs, ys)
             assert e == energy_by_convolution(p, xs, ys)
@@ -94,9 +109,11 @@ def test_energy_chunked_blocks_agree(monkeypatch):
     p = 257
     xs = rng.sample(range(p), 90)
     ys = rng.sample(range(p), 70)
-    whole = additive_energy(scalar(p, xs), scalar(p, ys))
+    whole, whole_counts = additive_energy(scalar(p, xs), scalar(p, ys))
     monkeypatch.setattr(energy_mod, "_CHUNK_ENTRIES", 64)
-    assert additive_energy(scalar(p, xs), scalar(p, ys)) == whole
+    e, counts = additive_energy(scalar(p, xs), scalar(p, ys))
+    assert e == whole
+    assert np.array_equal(counts, whole_counts)
 
 
 def test_energy_symmetry():
@@ -105,9 +122,10 @@ def test_energy_symmetry():
     p = 101
     xs = rng.sample(range(p), 30)
     ys = rng.sample(range(p), 45)
-    assert additive_energy(scalar(p, xs), scalar(p, ys)) == additive_energy(
-        scalar(p, ys), scalar(p, xs)
-    )
+    e_xy, r_xy = additive_energy(scalar(p, xs), scalar(p, ys))
+    e_yx, r_yx = additive_energy(scalar(p, ys), scalar(p, xs))
+    assert e_xy == e_yx
+    assert r_xy.tolist() == [int(r_yx[(-d) % p]) for d in range(p)]
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ from oracles import (
     conjugation_orbit,
     minimal_polynomial_oracle,
     poly_mul,
+    root_multiplicities,
 )
 
 RS = SemisimplicityClass.REGULAR_SEMISIMPLE
@@ -345,6 +346,39 @@ def test_split_eigenvalues():
     space7 = sl(2, 7)
     # x^2 + 1 is irreducible at p=7
     assert space7.split_eigenvalues(space7.from_rows([[0, 1], [6, 0]])) is None
+
+
+def split_eigenvalues_oracle(space, g):
+    """Sorted eigenvalues when the permutation-expansion charpoly has n
+    simple rational roots, else None."""
+    mults = root_multiplicities(charpoly_oracle(space.n, space.p, g), space.p)
+    if len(mults) == space.n and all(m == 1 for m in mults.values()):
+        return sorted(mults)
+    return None
+
+
+@pytest.mark.parametrize("n, p", [(2, 5), (2, 7)])
+def test_split_eigenvalues_exhaustive_against_oracle(n, p):
+    space = sl(n, p)
+    split = 0
+    for g in full_group(space):
+        eigs = space.split_eigenvalues(g)
+        assert eigs == split_eigenvalues_oracle(space, g)
+        split += eigs is not None
+    assert 0 < split < space.order()
+
+
+@pytest.mark.parametrize("n, p, seed", [(3, 5, 41), (4, 7, 43)])
+def test_split_eigenvalues_sampled_against_oracle(n, p, seed):
+    space = sl(n, p)
+    rng = Random(seed)
+    split = 0
+    for _ in range(2000):
+        g = space.random_element(rng)
+        eigs = space.split_eigenvalues(g)
+        assert eigs == split_eigenvalues_oracle(space, g)
+        split += eigs is not None
+    assert split > 0
 
 
 def test_random_regular_semisimple():
