@@ -5,7 +5,8 @@ trace-lab, lemma-check, energy, vital.  All randomness flows from one
 --seed through per-stream generators derived by hashing, so identical
 configs give byte-identical output files.  Every run emits exactly one
 JSON manifest on stdout (and next to --out when given) echoing the
-config, the wall clock, and sha256 digests of the files written.
+config, the wall clock, and sha256 digests of the files written; a run
+that does not end ok leaves no output file behind.
 
 Exit codes: 0 success, 2 configuration error, 3 budget exceeded,
 4 generator construction failed.
@@ -16,6 +17,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
 import time
 from dataclasses import asdict, dataclass, field as dc_field, fields
@@ -42,7 +44,6 @@ from .growth import (
     Budget,
     DEFAULT_MAX_ELEMENTS,
     ElementSet,
-    GrowthReport,
     generates,
     growth_scan,
     standard_generators,
@@ -50,7 +51,6 @@ from .growth import (
 )
 from .matrices import SpecialLinear
 from .tracelab import (
-    WealthBin,
     bin_spread,
     class_tuple,
     dyadic_bins,
@@ -60,7 +60,7 @@ from .tracelab import (
     popular_tuple,
     trace_tuple,
 )
-from .torus import TorusReport, rich_torus_scan
+from .torus import rich_torus_scan
 from .vandermonde import (
     cyclic_product_coordinates,
     elementary_symmetric,
@@ -232,29 +232,55 @@ def build_generators(cfg: ExperimentConfig, space: SpecialLinear) -> ElementSet:
 
 
 # ---------------------------------------------------------------------------
-# deterministic text output
+# deterministic output: the only code that knows the CSV and JSON formats
 
 
-def _csv_bytes(header: list[str], rows: list[list[str]]) -> bytes:
-    lines = [",".join(header)]
-    lines.extend(",".join(row) for row in rows)
-    return ("\n".join(lines) + "\n").encode()
+def _cell(value) -> str:
+    """One CSV cell: a string as given, anything else as JSON spells it
+    (true/false, str of an int, repr of a float).  An int, the common
+    cell, skips the encoder's per-call cost."""
+    if isinstance(value, str) or type(value) is int:
+        return str(value)
+    return json.dumps(value)
 
 
-def _json_bytes(payload) -> bytes:
-    return (json.dumps(payload, sort_keys=True, indent=2) + "\n").encode()
+def _cells(record: dict) -> dict:
+    """The record with every value spelled as its CSV cell."""
+    return {key: _cell(value) for key, value in record.items()}
+
+
+def _staged(target: str) -> str:
+    """Temporary name next to target, renamed into place by run()."""
+    return f"{target}.{os.getpid()}.tmp"
 
 
 def _emit(cfg: ExperimentConfig, outputs: dict, data: bytes,
           path: Optional[str] = None):
-    """Write bytes to the target file (tracking its digest) or stdout."""
+    """Stage bytes for the target file (tracking its digest) or stdout."""
     target = path if path is not None else cfg.out
     if target:
-        with open(target, "wb") as fh:
-            fh.write(data)
         outputs[target] = hashlib.sha256(data).hexdigest()
+        with open(_staged(target), "wb") as fh:
+            fh.write(data)
     else:
         sys.stdout.write(data.decode())
+
+
+def _emit_records(cfg: ExperimentConfig, outputs: dict, columns: list,
+                  records, payload=None, path: Optional[str] = None):
+    """CSV: the records projected onto columns, a missing key giving an
+    empty cell.  JSON: the payload, or the records when there is none."""
+    if cfg.format == "json":
+        text = json.dumps(records if payload is None else payload,
+                          sort_keys=True, indent=2)
+    else:
+        lines = [",".join(columns)]
+        lines.extend(
+            ",".join(_cell(record.get(col, "")) for col in columns)
+            for record in records
+        )
+        text = "\n".join(lines)
+    _emit(cfg, outputs, (text + "\n").encode(), path)
 
 
 # ---------------------------------------------------------------------------
@@ -356,18 +382,18 @@ def _cmd_expand(cfg: ExperimentConfig, outputs: dict) -> dict:
     space = SpecialLinear(cfg.n, cfg.p)
     gens = build_generators(cfg, space)
     ball = word_ball(gens, cfg.radius, cfg.budget())
-    if cfg.format == "json":
-        payload = {
-            "n": space.n,
-            "p": space.p,
-            "radius": cfg.radius,
-            "count": len(ball),
-            "elements": [space.encode(g).hex() for g in ball.sorted_members()],
-        }
-        _emit(cfg, outputs, _json_bytes(payload))
-    else:
-        data = ("\n".join(ball.dump_lines()) + "\n").encode()
-        _emit(cfg, outputs, data)
+    elements = ball.dump_lines()
+    header = elements.pop(0)
+    payload = {
+        "n": space.n,
+        "p": space.p,
+        "radius": cfg.radius,
+        "count": len(ball),
+        "elements": elements,
+    }
+    # the text dump is a one-column CSV headed by the ball's summary line
+    _emit_records(cfg, outputs, [header], ({header: e} for e in elements),
+                  payload)
     return {
         "ball_size": len(ball),
         "group_order": space.order(),
@@ -385,11 +411,9 @@ def _cmd_growth_curve(cfg: ExperimentConfig, outputs: dict) -> dict:
         reports.append(
             growth_scan(A, ks=ks, budget=cfg.budget())
         )
-    if cfg.format == "json":
-        _emit(cfg, outputs, _json_bytes([rep.to_dict() for rep in reports]))
-    else:
-        rows = [rep.csv_row(ks) for rep in reports]
-        _emit(cfg, outputs, _csv_bytes(GrowthReport.csv_header(ks), rows))
+    columns = ["n", "p", "size_A", "size_AAA", "epsilon_hat", "saturated"]
+    columns += [f"size_A_{k}" for k in ks]
+    _emit_records(cfg, outputs, columns, [rep.to_dict() for rep in reports])
     return {
         "primes": cfg.primes(),
         "saturated": {str(rep.p): rep.saturated for rep in reports},
@@ -402,19 +426,22 @@ def _cmd_torus_scan(cfg: ExperimentConfig, outputs: dict) -> dict:
     gens = build_generators(cfg, space)
     ks = sorted(set(cfg.k_list))
     reports = rich_torus_scan(gens, ks, cfg.budget())
-    if cfg.format == "json":
-        _emit(cfg, outputs, _json_bytes([rep.to_dict(space) for rep in reports]))
-    else:
-        rows = [rep.csv_row(space, ks) for rep in reports]
-        _emit(cfg, outputs, _csv_bytes(TorusReport.csv_header(ks), rows))
+    records = [rep.to_dict(space) for rep in reports]
+    columns = ["witness_kappa", "torus_order", "split"]
+    rows = [dict(record) for record in records]
+    for k in ks:
+        columns += [f"intersection_k{k}", f"richness_k{k}"]
+        for row in rows:
+            row[f"intersection_k{k}"] = row["intersections"][str(k)]
+            row[f"richness_k{k}"] = row["richness"][str(k)]
+    _emit_records(cfg, outputs, columns, rows, records)
     return {
         "tori": len(reports),
         "split_tori": sum(1 for rep in reports if rep.split),
     }
 
 
-def _witnesses_for(cfg: ExperimentConfig, space: SpecialLinear,
-                   source: ElementSet) -> list:
+def _witnesses_for(space: SpecialLinear, source: ElementSet) -> list:
     """Split regular witnesses from the source ball, one per invariant
     tuple, in canonical order."""
     by_kappa: dict = {}
@@ -430,17 +457,22 @@ def _cmd_trace_lab(cfg: ExperimentConfig, outputs: dict) -> dict:
     pool = word_ball(gens, cfg.radius, cfg.budget())
     kmax = max(cfg.k_list)
     witness_ball = word_ball(gens, kmax, cfg.budget())
-    witnesses = _witnesses_for(cfg, space, witness_ball)
+    witnesses = _witnesses_for(space, witness_ball)
     bin_rows = []
-    fvec_rows = []
+    fvectors = []
     info: dict = {"witnesses": len(witnesses), "pool_size": len(pool)}
     per_witness = {}
     for t in witnesses:
-        bins = dyadic_bins(t, pool)
-        for b in bins:
-            bin_rows.append(b.csv_row(space))
-        fvec_rows.append(f_of(space, t).csv_row(space, t))
         t_hex = space.kappa_hex(space.char_poly(t))
+        bins = dyadic_bins(t, pool)
+        # the JSON spells bin and f-vector values as their CSV cells
+        bin_rows.extend(
+            _cells({"t_kappa": t_hex, "jvec": "-".join(map(str, b.jvec)),
+                    "member_count": len(b.members)})
+            for b in bins
+        )
+        coefficients = [_cell(c) for c in f_of(space, t).coefficients]
+        fvectors.append({"t_kappa": t_hex, "coefficients": coefficients})
         eligible = sum(len(b.members) for b in bins)
         stats = {
             "bins": len(bins),
@@ -467,26 +499,20 @@ def _cmd_trace_lab(cfg: ExperimentConfig, outputs: dict) -> dict:
         stats["distinct_class_tuples"] = class_counts
         per_witness[t_hex] = stats
     info["per_witness"] = per_witness
-    if cfg.format == "json":
-        payload = {
-            "bins": [dict(zip(WealthBin.csv_header(), row)) for row in bin_rows],
-            "fvectors": [
-                {"t_kappa": row[0], "coefficients": row[1:]} for row in fvec_rows
-            ],
-            "stats": per_witness,
-        }
-        _emit(cfg, outputs, _json_bytes(payload))
-    else:
-        _emit(cfg, outputs, _csv_bytes(WealthBin.csv_header(), bin_rows))
-        if cfg.out:
-            fv_path = cfg.out + ".fvectors.csv"
-            header = ["t_kappa"] + [f"r{k}" for k in range(space.n)]
-            _emit(cfg, outputs, _csv_bytes(header, fvec_rows), path=fv_path)
+    payload = {"bins": bin_rows, "fvectors": fvectors, "stats": per_witness}
+    _emit_records(cfg, outputs, ["t_kappa", "jvec", "member_count"], bin_rows,
+                  payload)
+    if cfg.out and cfg.format == "csv":
+        columns = ["t_kappa"] + [f"r{k}" for k in range(space.n)]
+        rows = [dict(zip(columns, [f["t_kappa"], *f["coefficients"]]))
+                for f in fvectors]
+        _emit_records(cfg, outputs, columns, rows, path=cfg.out + ".fvectors.csv")
     return info
 
 
 def _cmd_lemma_check(cfg: ExperimentConfig, outputs: dict) -> dict:
     n, p, trials = cfg.n, cfg.p, cfg.trials
+    columns = ["suite", "n", "p", "trials", "passes", "failures"]
     rows = []
     results = {}
     suites = [
@@ -498,23 +524,18 @@ def _cmd_lemma_check(cfg: ExperimentConfig, outputs: dict) -> dict:
     for name, fn in suites:
         rng = stream_rng(cfg.seed, f"lemma:{name}:{n}:{p}")
         passes, total = fn(n, p, trials, rng)
-        rows.append([name, str(n), str(p), str(total), str(passes),
-                     str(total - passes)])
+        rows.append(dict(zip(columns, (name, n, p, total, passes, total - passes))))
         results[name] = {"trials": total, "passes": passes}
     rng = stream_rng(cfg.seed, f"lemma:cyclic-nonvanishing:{n}:{p}")
     failures, evals = cyclic_nonvanishing_suite(n, p, trials, rng)
-    rows.append(["cyclic-nonvanishing", str(n), str(p), str(evals),
-                 str(evals - failures), str(failures)])
+    rows.append(dict(zip(columns, ("cyclic-nonvanishing", n, p, evals,
+                                   evals - failures, failures))))
     results["cyclic-nonvanishing"] = {
         "determinants": evals,
         "zeros": failures,
         "zero_rate": failures / evals if evals else 0.0,
     }
-    header = ["suite", "n", "p", "trials", "passes", "failures"]
-    if cfg.format == "json":
-        _emit(cfg, outputs, _json_bytes(results))
-    else:
-        _emit(cfg, outputs, _csv_bytes(header, rows))
+    _emit_records(cfg, outputs, columns, rows, results)
     return results
 
 
@@ -523,6 +544,8 @@ def _cmd_energy(cfg: ExperimentConfig, outputs: dict) -> dict:
     fld = PrimeField(p)
     rng = stream_rng(cfg.seed, f"energy:{p}")
     cap = min(cfg.size, p)
+    columns = ["trial", "p", "size_x", "size_y", "energy", "support",
+               "cs_lower", "upper"]
     rows = []
     all_bounds_ok = True
     for trial in range(cfg.trials):
@@ -535,15 +558,10 @@ def _cmd_energy(cfg: ExperimentConfig, outputs: dict) -> dict:
         lower = -(-((nx * ny) ** 2) // support)  # ceil division
         upper = nx * ny * min(nx, ny)
         all_bounds_ok &= lower <= e <= upper
-        rows.append([str(trial), str(p), str(nx), str(ny), str(e),
-                     str(support), str(lower), str(upper)])
-    header = ["trial", "p", "size_x", "size_y", "energy", "support",
-              "cs_lower", "upper"]
-    if cfg.format == "json":
-        payload = [dict(zip(header, row)) for row in rows]
-        _emit(cfg, outputs, _json_bytes(payload))
-    else:
-        _emit(cfg, outputs, _csv_bytes(header, rows))
+        # the JSON spells every value as its CSV cell
+        rows.append(_cells(dict(zip(columns, (trial, p, nx, ny, e, support,
+                                              lower, upper)))))
+    _emit_records(cfg, outputs, columns, rows)
     return {"trials": cfg.trials, "bounds_ok": all_bounds_ok}
 
 
@@ -568,10 +586,20 @@ def _cmd_vital(cfg: ExperimentConfig, outputs: dict) -> dict:
     report = vital_diagnostics(
         instance.X, instance.Y, instance.fibers, cfg.delta
     )
-    if cfg.format == "json":
-        _emit(cfg, outputs, _json_bytes(report.to_dict()))
-    else:
-        _emit(cfg, outputs, _csv_bytes(report.csv_header(), report.csv_rows()))
+    record = report.to_dict()
+    columns = ["row_type", "y", "fiber_size", "fiber_exponent", "x_size",
+               "y_size", "pi1_size", "threshold", "x_meets_threshold",
+               "energy_sum", "degenerate"]
+    rows = [
+        {"row_type": "fiber", "y": "|".join(str(c) for c in fiber["y"]),
+         "fiber_size": fiber["size"], "fiber_exponent": fiber["exponent"]}
+        for fiber in record["fibers"]
+    ]
+    # the summary row reuses the fiber columns for the min and max size
+    rows.append(dict(record, row_type="summary",
+                     fiber_size=record["min_fiber"],
+                     fiber_exponent=record["max_fiber"]))
+    _emit_records(cfg, outputs, columns, rows, record)
     return {
         "witnesses": len(D),
         "excluded_witnesses": len(instance.fibers.excluded_witnesses),
@@ -610,7 +638,7 @@ def run(cfg: ExperimentConfig, subcommand: str) -> RunManifest:
     except GenerationFailed as exc:
         status, error = "generation-failed", str(exc)
     except (ValueError, OSError, SlgrowthError) as exc:
-        # OSError: an --out target that cannot be written
+        # OSError: an --out target that cannot be staged
         status, error = "config-error", str(exc)
     manifest = RunManifest(
         version=__version__,
@@ -622,12 +650,27 @@ def run(cfg: ExperimentConfig, subcommand: str) -> RunManifest:
         info=info,
         error=error,
     )
+    # every file, the manifest sidecar included, lands together or not at all
+    targets = list(outputs)
     if cfg.out and status == "ok":
+        targets.append(cfg.out + ".manifest.json")
         try:
-            with open(cfg.out + ".manifest.json", "w", encoding="utf-8") as fh:
+            with open(_staged(targets[-1]), "w", encoding="utf-8") as fh:
                 fh.write(manifest.to_json() + "\n")
+            # staged beside its target, a file's rename fails for a
+            # directory there: check them all before the first rename
+            for target in targets:
+                if os.path.isdir(target):
+                    raise IsADirectoryError(f"output target is a directory: {target}")
+            for target in targets:
+                os.replace(_staged(target), target)
         except OSError as exc:
             manifest.status, manifest.error = "config-error", str(exc)
+    if manifest.status != "ok":
+        for staged in map(_staged, targets):
+            if os.path.exists(staged):
+                os.remove(staged)
+        outputs.clear()
     return manifest
 
 

@@ -223,31 +223,6 @@ class VitalReport:
     degenerate: bool
     rows: list  # (y tuple, fiber size, fiber exponent)
 
-    @staticmethod
-    def csv_header() -> list[str]:
-        return [
-            "row_type", "y", "fiber_size", "fiber_exponent",
-            "x_size", "y_size", "pi1_size", "threshold",
-            "x_meets_threshold", "energy_sum", "degenerate",
-        ]
-
-    def csv_rows(self) -> list[list[str]]:
-        out = []
-        for y, size, exponent in self.rows:
-            out.append([
-                "fiber", "|".join(str(c) for c in y), str(size),
-                repr(exponent), "", "", "", "", "", "", "",
-            ])
-        out.append([
-            "summary", "", str(self.min_fiber), str(self.max_fiber),
-            str(self.x_size), str(self.y_size), str(self.pi1_size),
-            repr(self.threshold),
-            "true" if self.x_meets_threshold else "false",
-            str(self.energy_sum),
-            "true" if self.degenerate else "false",
-        ])
-        return out
-
     def to_dict(self) -> dict:
         return {
             "p": self.p,

@@ -379,7 +379,7 @@ def generates(A: ElementSet, budget: Budget = DEFAULT_BUDGET) -> bool:
 
 @dataclass
 class GrowthReport:
-    """One growth experiment, CSV- and JSON-serializable.
+    """One growth experiment; to_dict() is its output record.
 
     epsilon_hat is log|AAA|/log|A| - 1; the measured exponents
     log|A_k|/log|A| - 1 ride along per requested radius so tripling and
@@ -398,31 +398,6 @@ class GrowthReport:
     generation_ok: Optional[bool]
     ball_sizes: dict = dc_field(default_factory=dict)
     ball_exponents: dict = dc_field(default_factory=dict)
-
-    @property
-    def sizes(self) -> dict:
-        out = {"A": self.size_a, "AAA": self.size_aaa}
-        for k, v in sorted(self.ball_sizes.items()):
-            out[f"A_{k}"] = v
-        return out
-
-    @staticmethod
-    def csv_header(ks) -> list[str]:
-        return ["n", "p", "size_A", "size_AAA", "epsilon_hat", "saturated"] + [
-            f"size_A_{k}" for k in sorted(ks)
-        ]
-
-    def csv_row(self, ks) -> list[str]:
-        row = [
-            str(self.n),
-            str(self.p),
-            str(self.size_a),
-            str(self.size_aaa),
-            repr(self.epsilon_hat),
-            "true" if self.saturated else "false",
-        ]
-        row.extend(str(self.ball_sizes[k]) for k in sorted(ks))
-        return row
 
     def to_dict(self) -> dict:
         out = {

@@ -65,7 +65,7 @@ def torus_order_and_split(space: SpecialLinear, g0: Mat) -> tuple[int, bool]:
 
 @dataclass
 class TorusReport:
-    """Scan result for one maximal torus, CSV- and JSON-serializable."""
+    """Scan result for one maximal torus; to_dict() is its output record."""
 
     witness: Mat
     witness_kappa: tuple
@@ -74,25 +74,6 @@ class TorusReport:
     intersection_sizes: dict
     richness_ratios: dict
     regular_count: int
-
-    def csv_row(self, space: SpecialLinear, ks) -> list[str]:
-        row = [
-            space.kappa_hex(self.witness_kappa),
-            str(self.torus_order),
-            "true" if self.split else "false",
-        ]
-        for k in sorted(ks):
-            row.append(str(self.intersection_sizes[k]))
-            row.append(repr(self.richness_ratios[k]))
-        return row
-
-    @staticmethod
-    def csv_header(ks) -> list[str]:
-        head = ["witness_kappa", "torus_order", "split"]
-        for k in sorted(ks):
-            head.append(f"intersection_k{k}")
-            head.append(f"richness_k{k}")
-        return head
 
     def to_dict(self, space: SpecialLinear) -> dict:
         return {

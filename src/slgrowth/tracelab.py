@@ -128,17 +128,6 @@ class WealthBin:
     jvec: tuple
     members: ElementSet
 
-    def csv_row(self, space: SpecialLinear) -> list[str]:
-        return [
-            space.kappa_hex(space.char_poly(self.t)),
-            "-".join(str(j) for j in self.jvec),
-            str(len(self.members)),
-        ]
-
-    @staticmethod
-    def csv_header() -> list[str]:
-        return ["t_kappa", "jvec", "member_count"]
-
 
 def dyadic_bins(t: Mat, pool: ElementSet) -> list[WealthBin]:
     """Partition the eligible part of the pool into dyadic wealth bins.
@@ -208,11 +197,6 @@ class FVector:
     """Coefficients (r_0, ..., r_{n-1}) of the shifted-trace recursion."""
 
     coefficients: tuple
-
-    def csv_row(self, space: SpecialLinear, t: Mat) -> list[str]:
-        return [space.kappa_hex(space.char_poly(t))] + [
-            str(c) for c in self.coefficients
-        ]
 
 
 def f_of(space: SpecialLinear, t: Mat) -> FVector:

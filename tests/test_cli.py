@@ -153,21 +153,35 @@ def test_config_file_must_hold_an_object(capsys, tmp_path):
     assert "configuration error" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("where", ["directory", "missing-parent", "sidecar"])
+@pytest.mark.parametrize(
+    "where", ["directory", "missing-parent", "sidecar", "fvectors-sidecar"]
+)
 def test_unwritable_out_is_a_config_error(capsys, tmp_path, where):
-    target = {
-        "directory": tmp_path,
-        "missing-parent": tmp_path / "nope" / "ball.txt",
-        "sidecar": tmp_path / "ball.txt",
-    }[where]
-    if where == "sidecar":
-        (tmp_path / "ball.txt.manifest.json").mkdir()
-    code = cli.main(["expand", "--n", "2", "--p", "5", "--out", str(target)])
+    argv = ["expand", "--n", "2", "--p", "5"]
+    target = tmp_path / "ball.txt"
+    made = []
+    if where == "directory":
+        target = tmp_path
+    elif where == "missing-parent":
+        target = tmp_path / "nope" / "ball.txt"
+    elif where == "sidecar":
+        made.append(tmp_path / "ball.txt.manifest.json")
+    else:
+        # the primary file could be written; the run must not leave it
+        argv = ["trace-lab", "--n", "2", "--p", "7", "--radius", "2"]
+        made.append(tmp_path / "ball.txt.fvectors.csv")
+    for path in made:
+        path.mkdir()
+    code = cli.main(argv + ["--out", str(target)])
     out = capsys.readouterr().out
     assert code == 2
     manifest = json.loads(out)  # exactly one manifest, nothing else
     assert manifest["status"] == "config-error"
     assert manifest["error"]
+    assert manifest["outputs"] == {}
+    assert not target.is_file()
+    assert sorted(tmp_path.iterdir()) == made
+    assert not list(target.parent.glob(target.name + ".*.tmp"))
 
 
 def test_lemma_check_csv_dialect_and_counts(capsys, tmp_path):
@@ -203,8 +217,14 @@ def test_growth_curve_row_per_prime_in_given_order(capsys, tmp_path):
     assert code == 0
     assert manifest["info"]["primes"] == [7, 5, 11]
     lines = open(target).read().splitlines()
+    assert lines[0] == "n,p,size_A,size_AAA,epsilon_hat,saturated,size_A_2"
     assert len(lines) == 4
-    assert [line.split(",")[1] for line in lines[1:]] == ["7", "5", "11"]
+    rows = [line.split(",") for line in lines[1:]]
+    assert [row[1] for row in rows] == ["7", "5", "11"]
+    for row in rows:
+        assert len(row) == 7
+        assert row[0] == "2"
+        assert row[5] in ("true", "false")
 
 
 def test_torus_scan_csv_header(capsys, tmp_path):
@@ -267,6 +287,10 @@ def test_vital_smoke(capsys, tmp_path):
     lines = open(target).read().splitlines()
     assert lines[0].startswith("row_type,y,fiber_size")
     assert lines[-1].startswith("summary,")
+    width = len(lines[0].split(","))
+    assert all(len(line.split(",")) == width for line in lines)
+    row_types = [line.split(",")[0] for line in lines[1:]]
+    assert row_types == ["fiber"] * manifest["info"]["y_size"] + ["summary"]
 
 
 def test_reruns_are_byte_identical(capsys, tmp_path):
@@ -299,3 +323,46 @@ def test_workers_flag_and_config_key_do_not_change_output(capsys, tmp_path):
         echoed[name] = manifest["config"]["workers"]
     assert data["flag"] == data["default"] == data["config"]
     assert echoed == {"default": 1, "flag": 3, "config": 4}
+
+
+# one small run per subcommand; each is run in both formats
+STDOUT_CASES = [
+    ["expand", "--n", "2", "--p", "5", "--radius", "2"],
+    ["growth-curve", "--n", "2", "--p-list", "5,7", "--radius", "2", "--k", "2"],
+    ["torus-scan", "--n", "2", "--p", "7", "--radius", "2", "--k", "1", "--k", "2"],
+    ["trace-lab", "--n", "2", "--p", "7", "--radius", "2"],
+    ["lemma-check", "--n", "2", "--p", "7", "--trials", "10"],
+    ["energy", "--p", "31", "--size", "10", "--trials", "5"],
+    ["vital", "--n", "2", "--p", "11", "--radius", "2", "--k", "2"],
+]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("argv", STDOUT_CASES, ids=[c[0] for c in STDOUT_CASES])
+def test_stdout_data_matches_out_file(capsys, tmp_path, argv, fmt):
+    argv = argv + ["--format", fmt]
+    assert cli.main(argv) == 0
+    out = capsys.readouterr().out
+    # the manifest (keys sorted, so "config" first) follows the data
+    printed = out[:out.rindex('{\n  "config": ')]
+    target = tmp_path / "data"
+    assert cli.main(argv + ["--out", str(target)]) == 0
+    capsys.readouterr()
+    assert printed.encode() == target.read_bytes()  # trace-lab: the primary
+
+
+def test_csv_cells_are_spelled_as_json_values(capsys):
+    outputs = {}
+    records = [
+        {"s": "a|b", "b": True, "i": 7, "f": 1 / 3, "unused": 0},
+        {"b": False, "f": 1e-07},
+    ]
+    cli._emit_records(cli.ExperimentConfig(), outputs,
+                      ["s", "b", "i", "f", "missing"], records)
+    assert capsys.readouterr().out == (
+        "s,b,i,f,missing\n"
+        "a|b,true,7,0.3333333333333333,\n"
+        ",false,,1e-07,\n"
+    )
+    assert outputs == {}
+    assert cli._cell("0.5") == "0.5" and cli._cell(0.5) == repr(0.5)

@@ -282,14 +282,3 @@ def test_vital_diagnostics_degenerate_and_empty_fibers():
     assert rows[(2, 3)] == (0, 0.0)  # missing fiber reported at size 0
     assert (report.min_fiber, report.max_fiber) == (0, 1)
     assert report.pi1_size == 2
-
-
-def test_vital_report_csv_shape():
-    space, A, D = build_sl2_f11_instance()
-    inst = assemble_vital_instance(A, D, 2)
-    report = vital_diagnostics(inst.X, inst.Y, inst.fibers, Fraction(1, 2))
-    header = report.csv_header()
-    rows = report.csv_rows()
-    assert rows[-1][0] == "summary"
-    assert all(len(r) == len(header) for r in rows)
-    assert sum(1 for r in rows if r[0] == "fiber") == report.y_size

@@ -225,18 +225,6 @@ def test_growth_scan_ball2_sl2_f7_strict_growth():
     assert report.ball_sizes[3] >= report.ball_sizes[2]
 
 
-def test_growth_csv_row_shape():
-    space = SpecialLinear(2, 7)
-    A = word_ball(standard_generators(space), 2)
-    report = growth_scan(A, ks=[2, 4])
-    header = type(report).csv_header([2, 4])
-    row = report.csv_row([2, 4])
-    assert len(header) == len(row)
-    assert header[:6] == ["n", "p", "size_A", "size_AAA", "epsilon_hat", "saturated"]
-    assert row[0] == "2" and row[1] == "7"
-    assert row[5] in ("true", "false")
-
-
 def test_sampled_generating_subsets_grow_strictly():
     """Random generating A != G in SL_2(F_5) always shows |AAA| > |A|."""
     space = SpecialLinear(2, 5)
