@@ -19,6 +19,7 @@ from slgrowth import (
     VectorSet,
     additive_energy,
     assemble_vital_instance,
+    cli,
     dilate,
     standard_generators,
     vital_diagnostics,
@@ -282,3 +283,23 @@ def test_vital_diagnostics_degenerate_and_empty_fibers():
     assert rows[(2, 3)] == (0, 0.0)  # missing fiber reported at size 0
     assert (report.min_fiber, report.max_fiber) == (0, 1)
     assert report.pi1_size == 2
+
+
+def test_vital_report_csv_shape(capsys, tmp_path):
+    """vital's CSV for the F_11 instance: one fiber row per y with the
+    library's fiber sizes, then the summary row, every row as wide as
+    the header."""
+    space, A, D = build_sl2_f11_instance()
+    inst = assemble_vital_instance(A, D, 2)
+    report = vital_diagnostics(inst.X, inst.Y, inst.fibers, Fraction(1, 2))
+    target = tmp_path / "vital.csv"
+    code = cli.main(["vital", "--n", "2", "--p", "11", "--radius", "2",
+                     "--k", "2", "--out", str(target)])
+    capsys.readouterr()
+    assert code == 0
+    header, *rows = [line.split(",") for line in target.read_text().splitlines()]
+    assert rows[-1][0] == "summary"
+    assert all(len(r) == len(header) for r in rows)
+    assert sum(1 for r in rows if r[0] == "fiber") == report.y_size
+    size = header.index("fiber_size")
+    assert [int(r[size]) for r in rows[:-1]] == [s for _, s, _ in report.rows]

@@ -17,6 +17,7 @@ from slgrowth import (
     standard_generators,
     symmetrized,
     triple_product,
+    cli,
     word_ball,
 )
 
@@ -223,6 +224,25 @@ def test_growth_scan_ball2_sl2_f7_strict_growth():
     assert report.generation_checked and report.generation_ok
     assert report.ball_sizes[2] >= report.size_a
     assert report.ball_sizes[3] >= report.ball_sizes[2]
+
+
+def test_growth_csv_row_shape(capsys, tmp_path):
+    """growth-curve's CSV row for one scan: the fixed columns, then one
+    size_A_k column per k, the saturated flag spelled true|false."""
+    space = SpecialLinear(2, 7)
+    report = growth_scan(word_ball(standard_generators(space), 2), ks=[2, 4])
+    target = tmp_path / "curve.csv"
+    code = cli.main(["growth-curve", "--n", "2", "--p", "7", "--radius", "2",
+                     "--k", "4", "--k", "2", "--out", str(target)])
+    capsys.readouterr()
+    assert code == 0
+    header, row = [line.split(",") for line in target.read_text().splitlines()]
+    assert len(header) == len(row)
+    assert header[:6] == ["n", "p", "size_A", "size_AAA", "epsilon_hat", "saturated"]
+    assert header[6:] == ["size_A_2", "size_A_4"]
+    assert row[0] == "2" and row[1] == "7"
+    assert row[5] in ("true", "false")
+    assert row[2:4] == [str(report.size_a), str(report.size_aaa)]
 
 
 def test_sampled_generating_subsets_grow_strictly():
