@@ -6,7 +6,8 @@ trace-lab, lemma-check, energy, vital.  All randomness flows from one
 configs give byte-identical output files.  Every run emits exactly one
 JSON manifest on stdout (and next to --out when given) echoing the
 config, the wall clock, and sha256 digests of the files written; a run
-that does not end ok leaves no output file behind.
+that does not end ok leaves no output file behind, except the files
+renamed into place before a rename failed, which its manifest lists.
 
 Exit codes: 0 success, 2 configuration error, 3 budget exceeded,
 4 generator construction failed.
@@ -244,11 +245,6 @@ def _cell(value) -> str:
     return json.dumps(value)
 
 
-def _cells(record: dict) -> dict:
-    """The record with every value spelled as its CSV cell."""
-    return {key: _cell(value) for key, value in record.items()}
-
-
 def _staged(target: str) -> str:
     """Temporary name next to target, renamed into place by run()."""
     return f"{target}.{os.getpid()}.tmp"
@@ -269,18 +265,20 @@ def _emit(cfg: ExperimentConfig, outputs: dict, data: bytes,
 def _emit_records(cfg: ExperimentConfig, outputs: dict, columns: list,
                   records, payload=None, path: Optional[str] = None):
     """CSV: the records projected onto columns, a missing key giving an
-    empty cell.  JSON: the payload, or the records when there is none."""
+    empty cell; a list of strings is one column already spelled (expand's
+    dump), joined as it is.  JSON: the payload, or the records when there
+    is none."""
     if cfg.format == "json":
         text = json.dumps(records if payload is None else payload,
-                          sort_keys=True, indent=2)
+                          sort_keys=True, indent=2) + "\n"
     else:
-        lines = [",".join(columns)]
-        lines.extend(
-            ",".join(_cell(record.get(col, "")) for col in columns)
-            for record in records
-        )
-        text = "\n".join(lines)
-    _emit(cfg, outputs, (text + "\n").encode(), path)
+        rows = records
+        if rows and not isinstance(rows[0], str):
+            rows = [",".join(_cell(record.get(col, "")) for col in columns)
+                    for record in records]
+        head = ",".join(columns) + "\n"
+        text = head + "\n".join(rows) + "\n" if rows else head
+    _emit(cfg, outputs, text.encode(), path)
 
 
 # ---------------------------------------------------------------------------
@@ -392,8 +390,7 @@ def _cmd_expand(cfg: ExperimentConfig, outputs: dict) -> dict:
         "elements": elements,
     }
     # the text dump is a one-column CSV headed by the ball's summary line
-    _emit_records(cfg, outputs, [header], ({header: e} for e in elements),
-                  payload)
+    _emit_records(cfg, outputs, [header], elements, payload)
     return {
         "ball_size": len(ball),
         "group_order": space.order(),
@@ -467,8 +464,8 @@ def _cmd_trace_lab(cfg: ExperimentConfig, outputs: dict) -> dict:
         bins = dyadic_bins(t, pool)
         # the JSON spells bin and f-vector values as their CSV cells
         bin_rows.extend(
-            _cells({"t_kappa": t_hex, "jvec": "-".join(map(str, b.jvec)),
-                    "member_count": len(b.members)})
+            {"t_kappa": t_hex, "jvec": "-".join(map(str, b.jvec)),
+             "member_count": _cell(len(b.members))}
             for b in bins
         )
         coefficients = [_cell(c) for c in f_of(space, t).coefficients]
@@ -559,8 +556,8 @@ def _cmd_energy(cfg: ExperimentConfig, outputs: dict) -> dict:
         upper = nx * ny * min(nx, ny)
         all_bounds_ok &= lower <= e <= upper
         # the JSON spells every value as its CSV cell
-        rows.append(_cells(dict(zip(columns, (trial, p, nx, ny, e, support,
-                                              lower, upper)))))
+        rows.append(dict(zip(columns, map(_cell, (trial, p, nx, ny, e,
+                                                  support, lower, upper)))))
     _emit_records(cfg, outputs, columns, rows)
     return {"trials": cfg.trials, "bounds_ok": all_bounds_ok}
 
@@ -627,51 +624,55 @@ def run(cfg: ExperimentConfig, subcommand: str) -> RunManifest:
     info: dict = {}
     status = "ok"
     error = None
+    sidecar = f"{cfg.out}.manifest.json"
+    placed: set = set()
     try:
-        cfg.validate()
-        info = _DISPATCH[subcommand](cfg, outputs)
-    except BudgetExceeded as exc:
-        status, error = "budget-exceeded", str(exc)
-        info = {"partial_count": exc.partial_count}
-    except Indeterminate as exc:
-        status, error = "budget-exceeded", str(exc)
-    except GenerationFailed as exc:
-        status, error = "generation-failed", str(exc)
-    except (ValueError, OSError, SlgrowthError) as exc:
-        # OSError: an --out target that cannot be staged
-        status, error = "config-error", str(exc)
-    manifest = RunManifest(
-        version=__version__,
-        subcommand=subcommand,
-        config=cfg.to_dict(),
-        status=status,
-        wall_seconds=time.monotonic() - start,
-        outputs=outputs,
-        info=info,
-        error=error,
-    )
-    # every file, the manifest sidecar included, lands together or not at all
-    targets = list(outputs)
-    if cfg.out and status == "ok":
-        targets.append(cfg.out + ".manifest.json")
         try:
-            with open(_staged(targets[-1]), "w", encoding="utf-8") as fh:
-                fh.write(manifest.to_json() + "\n")
-            # staged beside its target, a file's rename fails for a
-            # directory there: check them all before the first rename
-            for target in targets:
-                if os.path.isdir(target):
-                    raise IsADirectoryError(f"output target is a directory: {target}")
-            for target in targets:
-                os.replace(_staged(target), target)
-        except OSError as exc:
-            manifest.status, manifest.error = "config-error", str(exc)
-    if manifest.status != "ok":
-        for staged in map(_staged, targets):
-            if os.path.exists(staged):
-                os.remove(staged)
-        outputs.clear()
-    return manifest
+            cfg.validate()
+            info = _DISPATCH[subcommand](cfg, outputs)
+        except BudgetExceeded as exc:
+            status, error = "budget-exceeded", str(exc)
+            info = {"partial_count": exc.partial_count}
+        except Indeterminate as exc:
+            status, error = "budget-exceeded", str(exc)
+        except GenerationFailed as exc:
+            status, error = "generation-failed", str(exc)
+        except (ValueError, OSError, SlgrowthError) as exc:
+            # OSError: an --out target that cannot be staged
+            status, error = "config-error", str(exc)
+        manifest = RunManifest(
+            version=__version__,
+            subcommand=subcommand,
+            config=cfg.to_dict(),
+            status=status,
+            wall_seconds=time.monotonic() - start,
+            outputs=outputs,
+            info=info,
+            error=error,
+        )
+        if cfg.out and status == "ok":
+            # every file, the manifest sidecar last, lands together or not
+            # at all; a rename onto a directory fails, so check them first
+            try:
+                with open(_staged(sidecar), "w", encoding="utf-8") as fh:
+                    fh.write(manifest.to_json() + "\n")
+                for target in (*outputs, sidecar):
+                    if os.path.isdir(target):
+                        raise IsADirectoryError(f"{target} is a directory")
+                for target in (*outputs, sidecar):
+                    os.replace(_staged(target), target)
+                    placed.add(target)
+            except OSError as exc:
+                manifest.status, manifest.error = "config-error", str(exc)
+        return manifest
+    finally:
+        # remove and unlist what was not placed, also when the subcommand
+        # raises what run() does not catch; renames go one by one, so the
+        # files placed before a failed rename stay listed
+        for target in {*outputs, sidecar} - placed:
+            outputs.pop(target, None)
+            if os.path.exists(_staged(target)):
+                os.remove(_staged(target))
 
 
 def _parse_int_list(text: str) -> list[int]:

@@ -199,18 +199,6 @@ class SpecialLinear:
                 - g[1] * (g[3] * g[8] - g[5] * g[6])
                 + g[2] * (g[3] * g[7] - g[4] * g[6])
             ) % p
-        if self.n == 4:
-            # Laplace expansion along the 2x2 minors of rows 0-1 and 2-3
-            (a0, a1, a2, a3, b0, b1, b2, b3,
-             c0, c1, c2, c3, d0, d1, d2, d3) = g
-            return (
-                (a0 * b1 - a1 * b0) * (c2 * d3 - c3 * d2)
-                - (a0 * b2 - a2 * b0) * (c1 * d3 - c3 * d1)
-                + (a0 * b3 - a3 * b0) * (c1 * d2 - c2 * d1)
-                + (a1 * b2 - a2 * b1) * (c0 * d3 - c3 * d0)
-                - (a1 * b3 - a3 * b1) * (c0 * d2 - c2 * d0)
-                + (a2 * b3 - a3 * b2) * (c0 * d1 - c1 * d0)
-            ) % p
         return linalg.det_mod(self.to_rows(g), self.field)
 
     # -- products, inverses, powers ---------------------------------------
@@ -253,8 +241,8 @@ class SpecialLinear:
 
     def power_list(self, g: Mat, top: int) -> list[Mat]:
         """[I, g, g^2, ..., g^top] by repeated multiplication."""
-        out = [self._identity, g][: top + 1]
-        for _ in range(top - 1):
+        out = [self._identity]
+        for _ in range(top):
             out.append(self.mul(out[-1], g))
         return out
 
@@ -277,13 +265,9 @@ class SpecialLinear:
             ) % p
             e3 = self.det(g)
             return [(-e3) % p, e2, (-e1) % p, 1]
-        # Newton's identities on power traces; valid since p > n.
-        # tr(g^i) for i > h is tr(g^h g^(i-h)), so g^h is the top power.
-        h = (n + 1) // 2
-        powers = self.power_list(g, h)
-        ptr = [self.trace(powers[i]) for i in range(h + 1)]
-        ptr += [self.trace_product(powers[h], powers[i - h])
-                for i in range(h + 1, n + 1)]
+        # Newton's identities on power traces; valid since p > n
+        powers = self.power_list(g, n)
+        ptr = [self.trace(powers[i]) for i in range(n + 1)]
         es = [1] + [0] * n
         field = self.field
         for k in range(1, n + 1):

@@ -77,15 +77,13 @@ def divmod_poly(f: list, g: list, field: PrimeField) -> tuple[list, list]:
         return [], trim(rem)
     inv_lead = field.inv(g[-1])
     quot = [0] * (len(rem) - dg)
-    low = g[:-1]
     for shift in range(len(rem) - 1 - dg, -1, -1):
-        # the leading coefficient is cancelled exactly, so drop it
-        c = rem.pop()
+        c = rem[shift + dg]
         if c:
             q = (c * inv_lead) % p
             quot[shift] = q
-            for i, b in enumerate(low, shift):
-                rem[i] = (rem[i] - q * b) % p
+            for i, b in enumerate(g):
+                rem[shift + i] = (rem[shift + i] - q * b) % p
     return trim(quot), trim(rem)
 
 

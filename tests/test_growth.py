@@ -11,13 +11,13 @@ from slgrowth import (
     Indeterminate,
     NotInGroup,
     SpecialLinear,
+    cli,
     full_group,
     generates,
     growth_scan,
     standard_generators,
     symmetrized,
     triple_product,
-    cli,
     word_ball,
 )
 
