@@ -99,85 +99,90 @@ def stream_rng(seed: int, stream: str) -> Random:
     return Random(int.from_bytes(digest[:8], "big"))
 
 
-_INT_KEYS = ("n", "p", "seed", "count", "radius", "budget_elems", "workers",
-             "trials", "size")
+def _parse_int_list(text: str) -> list[int]:
+    return [int(part) for part in text.split(",") if part.strip()]
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
+def _has_kind(value, kind) -> bool:
+    """Is value of the kind a config key declares?  A bool is never an
+    int, a float key takes an int, a list key is a list of ints."""
+    if isinstance(value, bool):
+        return False
+    if kind is list:
+        return isinstance(value, list) and all(_has_kind(v, int) for v in value)
+    return isinstance(value, (int, float) if kind is float else kind)
+
+
+def _key(default, help=None, *, kind=None, lower=None, flag=None, **parser):
+    """One config key, declared once: its default, its kind (a value of
+    another kind is rejected; None only when the default is None), the
+    lower bound of its value or of each item of a list, its flag
+    (`--name` unless given) and the flag's other argparse keywords.  The
+    flag text is converted to the kind for int and float keys and kept
+    as text otherwise, unless `type` says how."""
+    kind = kind or type(default)
+    parser.setdefault("type", kind if kind in (int, float) else str)
+    metadata = {"kind": kind, "lower": lower, "flag": flag,
+                "parser": dict(parser, help=help)}
+    if isinstance(default, list):
+        return dc_field(default_factory=lambda: list(default), metadata=metadata)
+    return dc_field(default=default, metadata=metadata)
 
 
 @dataclass
 class ExperimentConfig:
     """Resolved run parameters; flags override config-file values."""
 
-    n: int = 2
-    p: int = 5
-    p_list: Optional[list] = None
-    generators: str = "standard"
-    seed: int = 0
-    count: int = 2
-    radius: int = 2
-    k_list: list = dc_field(default_factory=lambda: [2])
-    delta: Fraction = Fraction(1, 2)
-    budget_elems: int = DEFAULT_MAX_ELEMENTS
-    budget_secs: Optional[float] = None
-    out: Optional[str] = None
-    format: str = "csv"
-    workers: int = 1
-    trials: int = 1000
-    size: int = 64
+    n: int = _key(2, "matrix size (default 2)")
+    p: int = _key(5, "field modulus (odd prime > n)")
+    p_list: Optional[list] = _key(
+        None, "comma-separated moduli for growth-curve sweeps", kind=list,
+        type=_parse_int_list)
+    generators: str = _key("standard", choices=("standard", "random"))
+    seed: int = _key(0, "global seed (default 0)")
+    count: int = _key(2, "random generator count (default 2)", lower=1)
+    radius: int = _key(2, "word-ball radius for the working set (default 2)",
+                       lower=1)
+    k_list: list = _key([2], "scan radius; repeatable", lower=1, flag="--k",
+                        type=int, action="append", metavar="K")
+    # the flag keeps its text: load_config converts flag and file alike
+    delta: Fraction = _key(Fraction(1, 2), "threshold exponent, rational in (0,1)")
+    budget_elems: int = _key(
+        DEFAULT_MAX_ELEMENTS, f"stored-element cap (default {DEFAULT_MAX_ELEMENTS})",
+        lower=1)
+    budget_secs: Optional[float] = _key(None, "wall-clock cap per expansion",
+                                        kind=float)
+    out: Optional[str] = _key(None, "output file; stdout when omitted", kind=str)
+    format: str = _key("csv", choices=("csv", "json"))
+    trials: int = _key(1000, "trial count for lemma-check/energy (default 1000)",
+                       lower=1)
+    size: int = _key(64, "max sampled set size for energy (default 64)", lower=1)
 
     def validate(self):
-        self._check_types()
-        if self.generators not in ("standard", "random"):
-            raise ValueError(f"unknown generator mode {self.generators!r}")
-        if self.format not in ("csv", "json"):
-            raise ValueError(f"unknown output format {self.format!r}")
-        if self.radius < 1:
-            raise ValueError("--radius must be >= 1")
-        if not self.k_list or any(k < 1 for k in self.k_list):
-            raise ValueError("--k radii must be a nonempty list of ints >= 1")
-        if self.workers < 1:
-            raise ValueError("--workers must be >= 1")
-        if self.count < 1:
-            raise ValueError("--count must be >= 1")
-        if self.trials < 1:
-            raise ValueError("--trials must be >= 1")
-        if self.size < 1:
-            raise ValueError("--size must be >= 1")
+        for f in fields(self):
+            value, meta = getattr(self, f.name), f.metadata
+            # the kind first, so that the range checks compare like with like
+            if not (value is None and f.default is None
+                    or _has_kind(value, meta["kind"])):
+                raise ValueError(f"{f.name} must be of type "
+                                 f"{meta['kind'].__name__}, got {value!r}")
+            choices = meta["parser"].get("choices")
+            if choices and value not in choices:
+                raise ValueError(f"{f.name} must be one of {choices}, got {value!r}")
+            items = value if isinstance(value, list) else [value]
+            if meta["lower"] is not None and any(v < meta["lower"] for v in items):
+                raise ValueError(f"{_flag(f)} must be >= {meta['lower']}")
+        if not self.k_list:
+            raise ValueError("--k radii must be a nonempty list")
         if not 0 < self.delta < 1:
             raise ValueError("--delta must lie strictly between 0 and 1")
-        if self.budget_elems < 1:
-            raise ValueError("--budget-elems must be >= 1")
-        if self.budget_secs is not None and self.budget_secs <= 0:
-            raise ValueError("--budget-secs must be positive")
+        # NaN fails both comparisons; inf and too-large ints fail the second
+        if self.budget_secs is not None and not (
+                0 < self.budget_secs <= sys.float_info.max):
+            raise ValueError("--budget-secs must be positive and finite")
         for p in self.primes():
             SpecialLinear(self.n, p)  # p odd prime > n, entry width checks
         return self
-
-    def _check_types(self):
-        """Reject wrong-typed values (say from a JSON config file) before
-        the range checks compare them."""
-        for key in _INT_KEYS:
-            value = getattr(self, key)
-            if not _is_int(value):
-                raise ValueError(f"{key} must be an int, got {value!r}")
-        for key in ("k_list", "p_list"):
-            value = getattr(self, key)
-            if value is None and key == "p_list":
-                continue
-            if not isinstance(value, list) or not all(map(_is_int, value)):
-                raise ValueError(f"{key} must be a list of ints, got {value!r}")
-        if self.budget_secs is not None and (
-            isinstance(self.budget_secs, bool)
-            or not isinstance(self.budget_secs, (int, float))
-        ):
-            raise ValueError(
-                f"budget_secs must be a number, got {self.budget_secs!r}"
-            )
-        if self.out is not None and not isinstance(self.out, str):
-            raise ValueError(f"out must be a path string, got {self.out!r}")
 
     def primes(self) -> list[int]:
         return list(self.p_list) if self.p_list else [self.p]
@@ -210,18 +215,15 @@ class RunManifest:
 
 def build_generators(cfg: ExperimentConfig, space: SpecialLinear) -> ElementSet:
     """Standard pair, or seeded random elements retried until they
-    generate (when the order fits the closure budget)."""
+    generate (unchecked when the order exceeds the closure budget)."""
     if cfg.generators == "standard":
         return standard_generators(space)
     rng = stream_rng(cfg.seed, f"generators:{space.n}:{space.p}")
     budget = cfg.budget()
-    checkable = space.order() <= budget.max_elements
     for _ in range(64):
         A = ElementSet(
             space, frozenset(space.random_element(rng) for _ in range(cfg.count))
         )
-        if not checkable:
-            return A
         try:
             if generates(A, budget):
                 return A
@@ -369,7 +371,8 @@ def _random_split_regular(space: SpecialLinear, rng: Random, max_tries=20_000):
         eigs = space.split_eigenvalues(g)
         if eigs is not None:
             return g, eigs
-    raise RuntimeError("no split regular element found; field too small?")
+    # a config error: SL_2(F_3), for one, has no split regular element
+    raise ValueError("no split regular element found; field too small?")
 
 
 # ---------------------------------------------------------------------------
@@ -675,8 +678,8 @@ def run(cfg: ExperimentConfig, subcommand: str) -> RunManifest:
                 os.remove(_staged(target))
 
 
-def _parse_int_list(text: str) -> list[int]:
-    return [int(part) for part in text.split(",") if part.strip()]
+def _flag(f) -> str:
+    return f.metadata["flag"] or "--" + f.name.replace("_", "-")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -687,33 +690,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("subcommand", choices=SUBCOMMANDS)
     parser.add_argument("--config", help="JSON config file; flags override it")
-    parser.add_argument("--n", type=int, help="matrix size (default 2)")
-    parser.add_argument("--p", type=int, help="field modulus (odd prime > n)")
-    parser.add_argument("--p-list", type=_parse_int_list,
-                        help="comma-separated moduli for growth-curve sweeps")
-    parser.add_argument("--generators", choices=("standard", "random"))
-    parser.add_argument("--seed", type=int, help="global seed (default 0)")
-    parser.add_argument("--count", type=int,
-                        help="random generator count (default 2)")
-    parser.add_argument("--radius", type=int,
-                        help="word-ball radius for the working set (default 2)")
-    parser.add_argument("--k", type=int, action="append", dest="k_list",
-                        metavar="K", help="scan radius; repeatable")
-    parser.add_argument("--delta", type=Fraction,
-                        help="threshold exponent, rational in (0,1)")
-    parser.add_argument("--budget-elems", type=int,
-                        help=f"stored-element cap (default {DEFAULT_MAX_ELEMENTS})")
-    parser.add_argument("--budget-secs", type=float,
-                        help="wall-clock cap per expansion")
-    parser.add_argument("--out", help="output file; stdout when omitted")
-    parser.add_argument("--format", choices=("csv", "json"))
-    parser.add_argument("--workers", type=int,
-                        help="accepted for old configs and ignored: expansion "
-                             "runs in one thread (default 1)")
-    parser.add_argument("--trials", type=int,
-                        help="trial count for lemma-check/energy (default 1000)")
-    parser.add_argument("--size", type=int,
-                        help="max sampled set size for energy (default 64)")
+    for f in fields(ExperimentConfig):
+        parser.add_argument(_flag(f), dest=f.name, **f.metadata["parser"])
     return parser
 
 
@@ -736,7 +714,10 @@ def load_config(args: argparse.Namespace) -> ExperimentConfig:
         if flag_value is not None:
             values[key] = flag_value
     if "delta" in values:
-        values["delta"] = Fraction(str(values["delta"]))
+        try:
+            values["delta"] = Fraction(str(values["delta"]))
+        except ZeroDivisionError:
+            raise ValueError(f"delta {values['delta']!r} has a zero denominator")
     cfg = ExperimentConfig(**values)
     cfg.validate()
     return cfg
@@ -751,7 +732,14 @@ def main(argv=None) -> int:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     manifest = run(cfg, args.subcommand)
-    print(manifest.to_json())
+    try:
+        print(manifest.to_json())
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout: the manifest cannot be written, and
+        # stdout goes to devnull so that the flush at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_CONFIG
     return _STATUS_EXIT.get(manifest.status, 1)
 
 

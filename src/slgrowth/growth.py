@@ -431,11 +431,12 @@ def growth_scan(A: ElementSet, ks=(), budget: Budget = DEFAULT_BUDGET,
     if any(k < 1 for k in ks):
         raise ValueError("ball radii must be >= 1")
     order = space.order()
-    generation_checked = False
     generation_ok: Optional[bool] = None
-    if check_generation and order <= budget.max_elements:
-        generation_ok = generates(A, budget)
-        generation_checked = True
+    if check_generation:
+        try:
+            generation_ok = generates(A, budget)
+        except Indeterminate:
+            pass  # |G| exceeds the closure budget: generation is not checked
     size_a = len(A)
     aaa = triple_product(A, budget)
     size_aaa = len(aaa)
@@ -463,7 +464,7 @@ def growth_scan(A: ElementSet, ks=(), budget: Budget = DEFAULT_BUDGET,
         group_order=order,
         saturated=size_aaa == order,
         degenerate=degenerate,
-        generation_checked=generation_checked,
+        generation_checked=generation_ok is not None,
         generation_ok=generation_ok,
         ball_sizes=ball_sizes,
         ball_exponents=ball_exponents,

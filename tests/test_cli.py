@@ -2,10 +2,16 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from slgrowth import cli
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run_cli(capsys, args):
@@ -120,12 +126,15 @@ def test_config_file_merge_and_flag_override(capsys, tmp_path):
 
 
 def test_config_file_rejects_unknown_keys(capsys, tmp_path):
-    cfg_path = tmp_path / "bad.json"
-    cfg_path.write_text(json.dumps({"n": 2, "frobs": 1}))
-    code = cli.main(["expand", "--config", str(cfg_path)])
-    captured = capsys.readouterr()
-    assert code == 2
-    assert "configuration error" in captured.err
+    # "workers" named a thread count that expansion never used
+    for unknown in ({"frobs": 1}, {"workers": 1}):
+        cfg_path = tmp_path / "bad.json"
+        cfg_path.write_text(json.dumps({"n": 2, **unknown}))
+        code = cli.main(["expand", "--config", str(cfg_path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("configuration error: unknown config keys")
+        assert captured.out == ""
 
 
 @pytest.mark.parametrize("key, value", [
@@ -143,6 +152,21 @@ def test_config_file_rejects_wrong_typed_values(capsys, tmp_path, key, value):
     assert code == 2
     assert captured.err.startswith("configuration error: ")
     assert captured.out == ""
+
+
+def test_closed_stdout_exits_2_without_traceback():
+    """A reader that closes the pipe before the manifest is written."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "slgrowth.cli", "energy", "--p", "31",
+         "--size", "5", "--trials", "1", "--format", "json"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() == 2
+    assert err == b""
 
 
 def test_config_file_must_hold_an_object(capsys, tmp_path):
@@ -330,27 +354,6 @@ def test_reruns_are_byte_identical(capsys, tmp_path):
     assert code_a == code_b == 0
     assert open(a, "rb").read() == open(b, "rb").read()
     assert man_a["outputs"][a] == man_b["outputs"][b]
-
-
-def test_workers_flag_and_config_key_do_not_change_output(capsys, tmp_path):
-    args = ["growth-curve", "--n", "2", "--p-list", "7,11", "--radius", "2",
-            "--k", "3", "--generators", "random", "--seed", "4"]
-    cfg_path = tmp_path / "run.json"
-    cfg_path.write_text(json.dumps({"workers": 4}))
-    runs = {
-        "default": [],
-        "flag": ["--workers", "3"],
-        "config": ["--config", str(cfg_path)],
-    }
-    data, echoed = {}, {}
-    for name, extra in runs.items():
-        target = str(tmp_path / f"{name}.csv")
-        code, _, manifest = run_cli(capsys, args + extra + ["--out", target])
-        assert code == 0
-        data[name] = open(target, "rb").read()
-        echoed[name] = manifest["config"]["workers"]
-    assert data["flag"] == data["default"] == data["config"]
-    assert echoed == {"default": 1, "flag": 3, "config": 4}
 
 
 # one small run per subcommand; each is run in both formats
