@@ -53,14 +53,16 @@ from .growth import (
 from .matrices import SpecialLinear
 from .tracelab import (
     bin_spread,
-    class_tuple,
+    distinct_tuple_counts,
     dyadic_bins,
     f_of,
     f_relation_holds,
     lindep_check,
     popular_tuple,
-    trace_tuple,
+    shift_table,
 )
+# unused here, but perfbench/traced.py looks both names up in this module
+from .tracelab import class_tuple, trace_tuple  # noqa: F401
 from .torus import rich_torus_scan
 from .vandermonde import (
     cyclic_product_coordinates,
@@ -464,7 +466,8 @@ def _cmd_trace_lab(cfg: ExperimentConfig, outputs: dict) -> dict:
     per_witness = {}
     for t in witnesses:
         t_hex = space.kappa_hex(space.char_poly(t))
-        bins = dyadic_bins(t, pool)
+        table = shift_table(t, pool)
+        bins = dyadic_bins(t, pool, table)
         # the JSON spells bin and f-vector values as their CSV cells
         bin_rows.extend(
             {"t_kappa": t_hex, "jvec": "-".join(map(str, b.jvec)),
@@ -483,20 +486,9 @@ def _cmd_trace_lab(cfg: ExperimentConfig, outputs: dict) -> dict:
             top = popular_tuple(bins)
             stats["popular_jvec"] = list(top.jvec)
             stats["popular_size"] = len(top.members)
-        n = space.n
-        trace_counts = {}
-        class_counts = {}
-        eligible_members = set()
-        for b in bins:
-            eligible_members.update(b.members.members)
-        for i in range(n + 1):
-            tuples = {trace_tuple(space, g, t, i).values for g in pool.members}
-            trace_counts[str(i)] = len(tuples)
-            class_counts[str(i)] = len(
-                {class_tuple(space, g, t, i).values for g in eligible_members}
-            )
-        stats["distinct_trace_tuples"] = trace_counts
-        stats["distinct_class_tuples"] = class_counts
+        trace_counts, class_counts = distinct_tuple_counts(table)
+        stats["distinct_trace_tuples"] = {str(i): c for i, c in enumerate(trace_counts)}
+        stats["distinct_class_tuples"] = {str(i): c for i, c in enumerate(class_counts)}
         per_witness[t_hex] = stats
     info["per_witness"] = per_witness
     payload = {"bins": bin_rows, "fvectors": fvectors, "stats": per_witness}
@@ -632,6 +624,9 @@ def run(cfg: ExperimentConfig, subcommand: str) -> RunManifest:
     try:
         try:
             cfg.validate()
+            # before the experiment, which can take minutes, not after it
+            if cfg.out and not os.path.isdir(os.path.dirname(cfg.out) or "."):
+                raise ValueError(f"--out {cfg.out} is not in an existing directory")
             info = _DISPATCH[subcommand](cfg, outputs)
         except BudgetExceeded as exc:
             status, error = "budget-exceeded", str(exc)

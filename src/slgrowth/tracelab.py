@@ -5,7 +5,9 @@ omitted index i lists tr(t^k g) for k = 0..n skipping k = i, and the
 wealth of a trace value r at shift i counts distinct conjugation
 invariants among pool elements with tr(t^i g) = r and t^i g semisimple.
 Pool elements whose n+1 shifts are all semisimple get sorted into
-dyadic bins by the tuple of wealth magnitudes.
+dyadic bins by the tuple of wealth magnitudes.  Wealth, bins and the
+distinct tuple counts are all read off one shift table, which holds the
+trace, invariant and semisimplicity of every t^k g, computed in numpy.
 
 The f map sends t to the coefficient vector (r_0, ..., r_{n-1}) with
 
@@ -17,9 +19,12 @@ for k >= 1 and r_0 = (-1)^(n+1).
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, log
+
+import numpy as np
 
 from . import linalg, polys
 from .errors import (
@@ -30,7 +35,7 @@ from .errors import (
     UnsupportedTorus,
 )
 from .growth import ElementSet
-from .matrices import Mat, SemisimplicityClass, SpecialLinear
+from .matrices import Mat, SpecialLinear
 from .vandermonde import generalized_vandermonde_det
 
 
@@ -97,6 +102,118 @@ def class_tuple(space: SpecialLinear, g: Mat, t: Mat, i: int) -> ClassTuple:
     return ClassTuple(omitted_index=i, values=values)
 
 
+# pool members per batched product; bounds the temporaries' memory
+SHIFT_CHUNK = 128
+
+
+@dataclass(frozen=True)
+class ShiftTable:
+    """The shifts t^k g, k = 0..n, of every pool member g under one t.
+
+    Column j belongs to members[j], row k to the shift t^k.  A code
+    packs the invariant (a_{n-1}, ..., a_1) of `SpecialLinear.char_poly`
+    into the integer a_{n-1} p^(n-2) + ... + a_2 p + a_1, so equal codes
+    mean equal invariants.
+    """
+
+    members: list
+    traces: np.ndarray  # (n+1, m) tr(t^k g)
+    codes: np.ndarray  # (n+1, m) packed invariant of t^k g
+    semisimple: np.ndarray  # (n+1, m) bool
+
+
+def _traces_and_codes(space: SpecialLinear, shifted: np.ndarray, dtype):
+    """Traces and packed invariants of a stack of matrices in SL_n(F_p),
+    by Newton's identities on the power traces (p > n, so 1..n-1 are
+    invertible); e_n = det = 1 is not needed."""
+    n, p, field = space.n, space.p, space.field
+    ptr = [None, shifted.trace(axis1=-2, axis2=-1) % p]
+    power = shifted
+    for _ in range(2, n):
+        power = np.matmul(power, shifted) % p
+        ptr.append(power.trace(axis1=-2, axis2=-1) % p)
+    es = [1]
+    codes = np.zeros(ptr[1].shape, dtype)
+    for k in range(1, n):
+        acc = sum((-1) ** (i - 1) * es[k - i] * ptr[i] for i in range(1, k + 1))
+        es.append(acc % p * field.inv(k) % p)
+        a = (-1) ** k * es[k] % p  # the coefficient a_{n-k}
+        codes = codes * p + a.astype(dtype)
+    return ptr[1], codes
+
+
+def _radical(space: SpecialLinear, code: int):
+    """None when the class's charpoly chi is squarefree (the class is
+    regular semisimple); otherwise rad(chi) = chi / gcd(chi, chi'),
+    coefficients lowest degree first, padded to length n."""
+    n, p, field = space.n, space.p, space.field
+    chi = [(-1) ** n % p] + [code // p ** (j - 1) % p for j in range(1, n)] + [1]
+    common = polys.gcd(chi, polys.deriv(chi, p), field)
+    if polys.degree(common) <= 0:
+        return None
+    rad, _ = polys.divmod_poly(chi, common, field)
+    return rad + [0] * (n - len(rad))
+
+
+def _semisimple(space: SpecialLinear, shifted: np.ndarray, codes: np.ndarray,
+                radicals: dict) -> np.ndarray:
+    """Semisimplicity of each shifted matrix, decided per class first.
+
+    Over the perfect field F_p, g is semisimple iff its minimal
+    polynomial is squarefree; the minimal polynomial divides chi and has
+    the same irreducible factors, so g is semisimple iff rad(chi)(g) = 0.
+    A squarefree chi needs no test.  `radicals` caches `_radical` by
+    code across calls.
+    """
+    n, p = space.n, space.p
+    flat = codes.ravel().tolist()
+    for code in set(flat).difference(radicals):
+        radicals[code] = _radical(space, code)
+    need = [j for j, code in enumerate(flat) if radicals[code] is not None]
+    ok = np.ones(len(flat), dtype=bool)
+    if need:
+        coeffs = np.array([radicals[flat[j]] for j in need], dtype=np.int64)
+        mats = shifted.reshape(-1, n, n)[need]
+        diag = np.arange(n)
+        value = np.zeros_like(mats)
+        for d in range(n - 1, -1, -1):  # Horner: value = rad(mats)
+            value = np.matmul(value, mats) % p
+            value[:, diag, diag] += coeffs[:, d, None]
+        ok[need] = ~(value % p).any(axis=(1, 2))
+    return ok.reshape(codes.shape)
+
+
+def shift_table(t: Mat, pool: ElementSet) -> ShiftTable:
+    """Trace, invariant and semisimplicity of t^k g for k = 0..n and
+    every g in the pool, in chunks of SHIFT_CHUNK pool members."""
+    space = pool.space
+    n, p = space.n, space.p
+    members = list(pool.members)
+    m = len(members)
+    powers = np.array(space.power_list(t, n), dtype=np.int64).reshape(n + 1, 1, n, n)
+    # codes below p^(n-1); past int64 they stay Python ints
+    dtype = np.int64 if p ** (n - 1) <= np.iinfo(np.int64).max else object
+    traces = np.empty((n + 1, m), dtype=np.int64)
+    codes = np.empty((n + 1, m), dtype=dtype)
+    semisimple = np.empty((n + 1, m), dtype=bool)
+    radicals: dict = {}
+    for lo in range(0, m, SHIFT_CHUNK):
+        part = slice(lo, lo + SHIFT_CHUNK)
+        chunk = np.array(members[part], dtype=np.int64).reshape(1, -1, n, n)
+        shifted = np.matmul(powers, chunk) % p
+        traces[:, part], codes[:, part] = _traces_and_codes(space, shifted, dtype)
+        semisimple[:, part] = _semisimple(space, shifted, codes[:, part], radicals)
+    return ShiftTable(members, traces, codes, semisimple)
+
+
+def _wealths(table: ShiftTable, i: int) -> Counter:
+    """Trace value r -> number of distinct invariants among semisimple
+    shifts t^i g with tr(t^i g) = r."""
+    ss = table.semisimple[i]
+    kinds = set(zip(table.traces[i, ss].tolist(), table.codes[i, ss].tolist()))
+    return Counter(r for r, _ in kinds)
+
+
 def wealth(t: Mat, i: int, r: int, pool: ElementSet) -> int:
     """Number of distinct invariant tuples kappa(t^i g) over pool
     elements g with tr(t^i g) = r and t^i g semisimple."""
@@ -105,18 +222,7 @@ def wealth(t: Mat, i: int, r: int, pool: ElementSet) -> int:
     if not 0 <= i <= n:
         raise ValueError(f"shift {i} out of range 0..{n}")
     _require_regular(space, t, "wealth")
-    r %= space.p
-    ti = space.power(t, i)
-    mul = space.mul
-    kappas = set()
-    for g in pool.members:
-        shifted = mul(ti, g)
-        if space.trace(shifted) != r:
-            continue
-        if space.classify_semisimple(shifted) is SemisimplicityClass.NOT_SEMISIMPLE:
-            continue
-        kappas.add(space.char_poly(shifted))
-    return len(kappas)
+    return _wealths(shift_table(t, pool), i)[r % space.p]
 
 
 @dataclass
@@ -129,49 +235,49 @@ class WealthBin:
     members: ElementSet
 
 
-def dyadic_bins(t: Mat, pool: ElementSet) -> list[WealthBin]:
+def dyadic_bins(t: Mat, pool: ElementSet, table: ShiftTable | None = None
+                ) -> list[WealthBin]:
     """Partition the eligible part of the pool into dyadic wealth bins.
 
     Eligible means g, tg, ..., t^n g all semisimple.  Every eligible g
     contributes its own invariant to each wealth count, so all wealths
     are >= 1 and the bin exponents are the bit lengths minus one.
     Returns bins sorted by jvec; empty bins are never materialized.
+    `table` is `shift_table(t, pool)`, when the caller already has it.
     """
     space = pool.space
-    n = space.n
     _require_regular(space, t, "dyadic bins")
-    powers = space.power_list(t, n)
-    mul = space.mul
-
-    # wealth tables per shift: trace value -> set of invariants seen
-    kappa_tables: list[dict] = [dict() for _ in range(n + 1)]
-    eligible: dict = {}
-    for g in pool.members:
-        all_ss = True
-        traces = []
-        for i in range(n + 1):
-            shifted = mul(powers[i], g)
-            tr = space.trace(shifted)
-            traces.append(tr)
-            if space.classify_semisimple(shifted) is SemisimplicityClass.NOT_SEMISIMPLE:
-                all_ss = False
-            else:
-                kappa_tables[i].setdefault(tr, set()).add(
-                    space.char_poly(shifted)
-                )
-        if all_ss:
-            eligible[g] = tuple(traces)
-
+    if table is None:
+        table = shift_table(t, pool)
+    eligible = table.semisimple.all(axis=0)
+    columns = []
+    for i in range(space.n + 1):
+        exponent = {r: w.bit_length() - 1 for r, w in _wealths(table, i).items()}
+        columns.append([exponent[r] for r in table.traces[i, eligible].tolist()])
+    members = [g for g, ok in zip(table.members, eligible.tolist()) if ok]
     bins: dict = {}
-    for g, traces in eligible.items():
-        jvec = tuple(
-            len(kappa_tables[i][traces[i]]).bit_length() - 1 for i in range(n + 1)
-        )
-        bins.setdefault(jvec, set()).add(g)
+    for g, jvec in zip(members, zip(*columns)):
+        bins.setdefault(jvec, []).append(g)
     return [
         WealthBin(t=t, jvec=jvec, members=ElementSet(space, frozenset(bins[jvec])))
         for jvec in sorted(bins)
     ]
+
+
+def distinct_tuple_counts(table: ShiftTable) -> tuple[list[int], list[int]]:
+    """For each omitted index i = 0..n: how many distinct values
+    `trace_tuple(g, t, i)` takes over the pool, and how many
+    `class_tuple(g, t, i)` takes over its eligible members."""
+    eligible = table.semisimple.all(axis=0)
+    traces = table.traces.tolist()
+    codes = table.codes[:, eligible].tolist()
+
+    def distinct(rows, i):
+        return len(set(zip(*(row for k, row in enumerate(rows) if k != i))))
+
+    shifts = range(len(traces))
+    return ([distinct(traces, i) for i in shifts],
+            [distinct(codes, i) for i in shifts])
 
 
 def popular_tuple(bins: list[WealthBin]) -> WealthBin:

@@ -247,3 +247,37 @@ def energy_by_convolution(p, xs, ys):
         r = lo + hi
         energy += r * r
     return energy
+
+
+# ---------------------------------------------------------------------------
+# trace-lab oracle
+
+
+def dyadic_bins_oracle(space, t, members):
+    """{jvec: frozenset of members}, the dyadic wealth bins built one
+    element and one shift at a time: classify_semisimple and char_poly
+    of every t^k g, wealth tables as sets of invariants per trace."""
+    n = space.n
+    powers = space.power_list(t, n)
+    kappa_tables = [dict() for _ in range(n + 1)]
+    eligible = {}
+    for g in members:
+        all_ss = True
+        traces = []
+        for i in range(n + 1):
+            shifted = space.mul(powers[i], g)
+            tr = space.trace(shifted)
+            traces.append(tr)
+            if space.classify_semisimple(shifted) is SemisimplicityClass.NOT_SEMISIMPLE:
+                all_ss = False
+            else:
+                kappa_tables[i].setdefault(tr, set()).add(space.char_poly(shifted))
+        if all_ss:
+            eligible[g] = traces
+    bins = {}
+    for g, traces in eligible.items():
+        jvec = tuple(
+            len(kappa_tables[i][traces[i]]).bit_length() - 1 for i in range(n + 1)
+        )
+        bins.setdefault(jvec, set()).add(g)
+    return {jvec: frozenset(b) for jvec, b in bins.items()}

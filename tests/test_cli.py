@@ -311,6 +311,40 @@ def test_trace_lab_writes_fvector_sidecar(capsys, tmp_path):
     assert open(sidecar).read().splitlines()[0] == "t_kappa,r0,r1"
 
 
+def test_trace_lab_never_imports_numpy_ma(tmp_path):
+    """numpy.ma (pulled in by np.unique, among others) adds about 1.7 MB
+    to the peak RSS of a run that never needs it."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    script = ("import sys\n"
+              "from slgrowth import cli\n"
+              "code = cli.main(sys.argv[1:])\n"
+              "sys.stderr.write(repr((code, 'numpy.ma' in sys.modules)))\n")
+    proc = subprocess.run(
+        [sys.executable, "-c", script, "trace-lab", "--n", "3", "--p", "7",
+         "--radius", "3", "--k", "3", "--out", str(tmp_path / "lab.csv")],
+        capture_output=True, env=env, timeout=120,
+    )
+    assert proc.stderr.decode() == "(0, False)"
+
+
+def test_missing_out_directory_fails_before_the_run(capsys, tmp_path,
+                                                    monkeypatch):
+    calls = []
+    monkeypatch.setitem(cli._DISPATCH, "trace-lab",
+                        lambda cfg, outputs: calls.append(cfg) or {})
+    (tmp_path / "file").write_text("")
+    for target in (tmp_path / "no" / "such" / "out.csv",
+                   tmp_path / "file" / "out.csv"):
+        code, _, manifest = run_cli(
+            capsys, ["trace-lab", "--n", "3", "--p", "7", "--out", str(target)])
+        assert code == 2
+        assert manifest["status"] == "config-error"
+        assert str(target) in manifest["error"]
+        assert manifest["outputs"] == {}
+    assert calls == []
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["file"]
+
+
 def test_energy_rows_stay_inside_bounds(capsys, tmp_path):
     target = str(tmp_path / "energy.csv")
     code, _, manifest = run_cli(
