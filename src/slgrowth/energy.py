@@ -27,6 +27,7 @@ from .tracelab import (
     f_of,
     lindep_check,
     popular_tuple,
+    shift_table,
 )
 
 _CHUNK_ENTRIES = 8_000_000  # cap on the live difference-table block
@@ -179,18 +180,17 @@ def assemble_vital_instance(A: ElementSet, D: ElementSet, pool_radius: int,
     x_values: set = set()
     assignments: dict = {}
     for t in kept:
-        powers = space.power_list(t, n)
+        table = shift_table(t, pool)
         try:
-            popular = popular_tuple(dyadic_bins(t, pool))
+            popular = popular_tuple(dyadic_bins(t, pool, table))
             members = popular.members.members
         except NoBins:
             members = frozenset()
         y = f_of(space, t).coefficients
         tuples = assignments.setdefault(y, set())
-        for a in members:
-            shifted_traces = [
-                space.trace_product(powers[i], a) for i in range(n + 1)
-            ]
+        # the table's column j holds tr(t^i g) for g = table.members[j]
+        columns = [j for j, g in enumerate(table.members) if g in members]
+        for shifted_traces in table.traces[:, columns].T.tolist():
             x_values.update(shifted_traces)
             tuples.add(tuple(shifted_traces[:n]))
 

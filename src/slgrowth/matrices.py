@@ -11,11 +11,19 @@ from __future__ import annotations
 import enum
 from typing import Optional, Sequence
 
+import numpy as np
+
 from . import linalg, polys
 from .errors import NotInGroup, SingularMatrix
 from .field import PrimeField
 
 Mat = tuple  # flat row-major tuple of ints, length n*n
+
+# candidates per block in SpecialLinear.split_regulars, at most; the
+# block is cut so that its (block, p) root table stays within
+# SPLIT_SCAN_ENTRIES entries
+SPLIT_BLOCK = 64
+SPLIT_SCAN_ENTRIES = 1 << 20
 
 
 class SemisimplicityClass(enum.Enum):
@@ -99,6 +107,30 @@ def _make_mul(n: int, p: int):
         return tuple(out)
 
     return muln
+
+
+def char_poly_batch(mats: np.ndarray, p: int) -> np.ndarray:
+    """Coefficients of det(xI - g), lowest degree first, for every g of
+    an int64 stack (..., n, n) with entries in [0, p): shape (..., n+1).
+
+    Newton's identities on the power traces tr(g^k), k = 1..n, divide
+    by k <= n only, so they hold for singular g too when p > n.
+    Products stay below n p^2, inside int64 for p < 2^16.
+    """
+    n = mats.shape[-1]
+    power = mats
+    ptr = [None, mats.trace(axis1=-2, axis2=-1) % p]  # ptr[k] = tr(g^k)
+    for _ in range(2, n + 1):
+        power = np.matmul(power, mats) % p
+        ptr.append(power.trace(axis1=-2, axis2=-1) % p)
+    coeffs = np.empty(mats.shape[:-2] + (n + 1,), dtype=np.int64)
+    coeffs[..., n] = 1
+    es = [1]  # elementary symmetric functions of the eigenvalues
+    for k in range(1, n + 1):
+        acc = sum((-1) ** (i - 1) * es[k - i] * ptr[i] for i in range(1, k + 1))
+        es.append(acc % p * pow(k, -1, p) % p)
+        coeffs[..., n - k] = (-1) ** k * es[k] % p
+    return coeffs
 
 
 class SpecialLinear:
@@ -386,9 +418,73 @@ class SpecialLinear:
             entries[i * n + n - 1] = (entries[i * n + n - 1] * di) % p
         return tuple(entries)
 
-    def random_regular_semisimple(self, rng, max_tries: int = 10_000) -> Mat:
-        for _ in range(max_tries):
+    def split_regulars(self, rng, max_tries: int = 20_000):
+        """Endless stream of (g, eigenvalues sorted ascending) for split
+        regular semisimple g: the elements that repeated
+        random_element(rng) calls filtered by split_eigenvalues yield.
+
+        Candidates are drawn with the same rng.randrange(p) calls and
+        classified in numpy blocks, so the stream draws ahead of what it
+        yields: give it a generator that nothing else reads.  Raises
+        ValueError after max_tries candidates in a row are rejected.
+        """
+        n, p = self.n, self.p
+        block = min(SPLIT_BLOCK, SPLIT_SCAN_ENTRIES // p)
+        powers = np.ones((n + 1, p), dtype=np.int64)  # x^k mod p, every x
+        for k in range(1, n + 1):
+            powers[k] = powers[k - 1] * np.arange(p) % p
+        misses = 0
+        while True:
+            draws = [rng.randrange(p) for _ in range(block * n * n)]
+            for found in self._split_block(draws, powers):
+                if found is not None:
+                    misses = 0
+                    yield found
+                    continue
+                misses += 1
+                if misses == max_tries:
+                    # SL_2(F_3), for one, has no split regular element
+                    raise ValueError("no split regular element found; field too small?")
+
+    def _split_block(self, draws: list, powers: np.ndarray) -> list:
+        """The candidates of one block of draws, in order: each chunk of
+        n*n draws with det != 0 (random_element draws singular ones
+        again), its last column scaled by 1/det, gives (g, eigenvalues)
+        when g is split regular and None otherwise.  A candidate splits
+        iff its charpoly, evaluated at every x through powers[k, x] =
+        x^k mod p, has n zeros."""
+        n, p = self.n, self.p
+        mats = np.array(draws, dtype=np.int64).reshape(-1, n, n)
+        det = char_poly_batch(mats, p)[:, 0] * (-1) ** n % p
+        mats = mats[det != 0]
+        scale = [self.field.inv(d) for d in det[det != 0].tolist()]
+        mats[:, :, n - 1] = mats[:, :, n - 1] * np.array(scale, dtype=np.int64)[:, None] % p
+        values = np.matmul(char_poly_batch(mats, p), powers)
+        values %= p
+        roots = values == 0
+        counts = roots.sum(axis=1).tolist()
+        return [(tuple(g), np.flatnonzero(roots[j]).tolist()) if counts[j] == n else None
+                for j, g in enumerate(mats.reshape(-1, n * n).tolist())]
+
+    def regular_semisimples(self, rng, max_tries: int = 10_000):
+        """Endless stream of (g, char_poly_full(g)) for regular
+        semisimple g, drawn by repeated random_element(rng) calls.  It
+        draws one candidate at a time and nothing ahead of what it
+        yields, so the caller may draw from rng between items.  Raises
+        RuntimeError after max_tries candidates in a row are rejected.
+        """
+        misses = 0
+        while True:
             g = self.random_element(rng)
-            if self.is_regular_semisimple(g):
-                return g
-        raise RuntimeError("no regular semisimple element found; tiny field?")
+            full = self.char_poly_full(g)
+            if polys.is_squarefree(full, self.field):
+                misses = 0
+                yield g, full
+                continue
+            misses += 1
+            if misses == max_tries:
+                raise RuntimeError("no regular semisimple element found; tiny field?")
+
+    def random_regular_semisimple(self, rng, max_tries: int = 10_000) -> Mat:
+        g, _ = next(self.regular_semisimples(rng, max_tries))
+        return g

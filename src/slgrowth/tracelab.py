@@ -22,6 +22,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial, log
 
 import numpy as np
@@ -34,8 +35,9 @@ from .errors import (
     NotInGroup,
     UnsupportedTorus,
 )
+from .field import PrimeField
 from .growth import ElementSet
-from .matrices import Mat, SpecialLinear
+from .matrices import Mat, SpecialLinear, char_poly_batch
 from .vandermonde import generalized_vandermonde_det
 
 
@@ -124,51 +126,43 @@ class ShiftTable:
 
 def _traces_and_codes(space: SpecialLinear, shifted: np.ndarray, dtype):
     """Traces and packed invariants of a stack of matrices in SL_n(F_p),
-    by Newton's identities on the power traces (p > n, so 1..n-1 are
-    invertible); e_n = det = 1 is not needed."""
-    n, p, field = space.n, space.p, space.field
-    ptr = [None, shifted.trace(axis1=-2, axis2=-1) % p]
-    power = shifted
-    for _ in range(2, n):
-        power = np.matmul(power, shifted) % p
-        ptr.append(power.trace(axis1=-2, axis2=-1) % p)
-    es = [1]
-    codes = np.zeros(ptr[1].shape, dtype)
-    for k in range(1, n):
-        acc = sum((-1) ** (i - 1) * es[k - i] * ptr[i] for i in range(1, k + 1))
-        es.append(acc % p * field.inv(k) % p)
-        a = (-1) ** k * es[k] % p  # the coefficient a_{n-k}
-        codes = codes * p + a.astype(dtype)
-    return ptr[1], codes
+    read off their characteristic polynomials."""
+    n, p = space.n, space.p
+    coeffs = char_poly_batch(shifted, p)
+    codes = np.zeros(coeffs.shape[:-1], dtype)
+    for j in range(n - 1, 0, -1):  # a_{n-1} first
+        codes = codes * p + coeffs[..., j].astype(dtype)
+    return -coeffs[..., n - 1] % p, codes
 
 
-def _radical(space: SpecialLinear, code: int):
+@lru_cache(maxsize=1 << 16)
+def _radical(n: int, field: PrimeField, code: int):
     """None when the class's charpoly chi is squarefree (the class is
     regular semisimple); otherwise rad(chi) = chi / gcd(chi, chi'),
-    coefficients lowest degree first, padded to length n."""
-    n, p, field = space.n, space.p, space.field
+    coefficients lowest degree first, padded to length n.  Cached for
+    the whole run: callers with many witnesses over one pool meet the
+    same few classes again and again."""
+    p = field.p
     chi = [(-1) ** n % p] + [code // p ** (j - 1) % p for j in range(1, n)] + [1]
     common = polys.gcd(chi, polys.deriv(chi, p), field)
     if polys.degree(common) <= 0:
         return None
     rad, _ = polys.divmod_poly(chi, common, field)
-    return rad + [0] * (n - len(rad))
+    return tuple(rad) + (0,) * (n - len(rad))
 
 
-def _semisimple(space: SpecialLinear, shifted: np.ndarray, codes: np.ndarray,
-                radicals: dict) -> np.ndarray:
+def _semisimple(space: SpecialLinear, shifted: np.ndarray,
+                codes: np.ndarray) -> np.ndarray:
     """Semisimplicity of each shifted matrix, decided per class first.
 
     Over the perfect field F_p, g is semisimple iff its minimal
     polynomial is squarefree; the minimal polynomial divides chi and has
     the same irreducible factors, so g is semisimple iff rad(chi)(g) = 0.
-    A squarefree chi needs no test.  `radicals` caches `_radical` by
-    code across calls.
+    A squarefree chi needs no test.
     """
     n, p = space.n, space.p
     flat = codes.ravel().tolist()
-    for code in set(flat).difference(radicals):
-        radicals[code] = _radical(space, code)
+    radicals = {code: _radical(n, space.field, code) for code in set(flat)}
     need = [j for j, code in enumerate(flat) if radicals[code] is not None]
     ok = np.ones(len(flat), dtype=bool)
     if need:
@@ -196,13 +190,12 @@ def shift_table(t: Mat, pool: ElementSet) -> ShiftTable:
     traces = np.empty((n + 1, m), dtype=np.int64)
     codes = np.empty((n + 1, m), dtype=dtype)
     semisimple = np.empty((n + 1, m), dtype=bool)
-    radicals: dict = {}
     for lo in range(0, m, SHIFT_CHUNK):
         part = slice(lo, lo + SHIFT_CHUNK)
         chunk = np.array(members[part], dtype=np.int64).reshape(1, -1, n, n)
         shifted = np.matmul(powers, chunk) % p
         traces[:, part], codes[:, part] = _traces_and_codes(space, shifted, dtype)
-        semisimple[:, part] = _semisimple(space, shifted, codes[:, part], radicals)
+        semisimple[:, part] = _semisimple(space, shifted, codes[:, part])
     return ShiftTable(members, traces, codes, semisimple)
 
 
@@ -304,31 +297,35 @@ class FVector:
 
     coefficients: tuple
 
+    def predicts(self, space: SpecialLinear, powers: list, g: Mat) -> bool:
+        """tr(t^n g) = sum_k r_k tr(t^k g), for this f(t) and the powers
+        [I, t, ..., t^n] of the same t."""
+        n = space.n
+        rhs = sum(r * space.trace_product(powers[k], g)
+                  for k, r in enumerate(self.coefficients))
+        return space.trace_product(powers[n], g) == rhs % space.p
 
-def f_of(space: SpecialLinear, t: Mat) -> FVector:
-    """The f map: r_k = -a_k for k = 1..n-1 and r_0 = (-1)^(n+1), read
-    off det(xI - t) = sum_k a_k x^k (Cayley-Hamilton applied to t^n)."""
+
+def f_from_char_poly(space: SpecialLinear, full: list) -> FVector:
+    """f(t) read off the coefficients of det(xI - t) = sum_k a_k x^k,
+    lowest degree first, for a t already known to be regular
+    semisimple: r_k = -a_k for k = 1..n-1 and r_0 = (-1)^(n+1)
+    (Cayley-Hamilton applied to t^n)."""
     n, p = space.n, space.p
-    full = _require_regular(space, t, "the f map")  # det(xI - t), once
     if full[0] != (-1) ** n % p:
         raise NotInGroup("characteristic constant term shows det != 1")
-    coeffs = [0] * n
-    coeffs[0] = (-1) ** (n + 1) % p
-    for k in range(1, n):
-        coeffs[k] = (-full[k]) % p
-    return FVector(coefficients=tuple(coeffs))
+    return FVector(coefficients=((-1) ** (n + 1) % p,)
+                   + tuple(-full[k] % p for k in range(1, n)))
+
+
+def f_of(space: SpecialLinear, t: Mat) -> FVector:
+    """The f map, after checking that t is regular semisimple."""
+    return f_from_char_poly(space, _require_regular(space, t, "the f map"))
 
 
 def f_relation_holds(space: SpecialLinear, t: Mat, g: Mat) -> bool:
     """Check tr(t^n g) = sum_k r_k tr(t^k g) for one pair (t, g)."""
-    n, p = space.n, space.p
-    powers = space.power_list(t, n)
-    fv = f_of(space, t)
-    lhs = space.trace_product(powers[n], g)
-    rhs = 0
-    for k in range(n):
-        rhs += fv.coefficients[k] * space.trace_product(powers[k], g)
-    return lhs == rhs % p
+    return f_of(space, t).predicts(space, space.power_list(t, space.n), g)
 
 
 def fiber_bound_check(S: ElementSet) -> tuple[int, Fraction]:

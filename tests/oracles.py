@@ -281,3 +281,14 @@ def dyadic_bins_oracle(space, t, members):
         )
         bins.setdefault(jvec, set()).add(g)
     return {jvec: frozenset(b) for jvec, b in bins.items()}
+
+
+def split_regular_oracle(space, rng, max_tries=20_000):
+    """(g, its sorted eigenvalues) for the next split regular g among
+    repeated space.random_element(rng) draws, one candidate at a time."""
+    for _ in range(max_tries):
+        g = space.random_element(rng)
+        eigs = space.split_eigenvalues(g)
+        if eigs is not None:
+            return g, eigs
+    raise ValueError("no split regular element found; field too small?")

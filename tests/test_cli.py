@@ -1,6 +1,7 @@
 """End-to-end command-line runs: exit codes, manifests, determinism."""
 
 import hashlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -313,18 +314,24 @@ def test_trace_lab_writes_fvector_sidecar(capsys, tmp_path):
 
 def test_trace_lab_never_imports_numpy_ma(tmp_path):
     """numpy.ma (pulled in by np.unique, among others) adds about 1.7 MB
-    to the peak RSS of a run that never needs it."""
+    to the peak RSS of a run that never needs it.  Neither trace-lab's
+    shift table nor lemma-check's split regular blocks may load it.  Nor
+    may the digests load OpenSSL (hashlib's _hashlib, about 3.5 MB) where
+    the interpreter has a builtin sha256."""
     env = dict(os.environ, PYTHONPATH=str(SRC))
     script = ("import sys\n"
               "from slgrowth import cli\n"
               "code = cli.main(sys.argv[1:])\n"
-              "sys.stderr.write(repr((code, 'numpy.ma' in sys.modules)))\n")
-    proc = subprocess.run(
-        [sys.executable, "-c", script, "trace-lab", "--n", "3", "--p", "7",
-         "--radius", "3", "--k", "3", "--out", str(tmp_path / "lab.csv")],
-        capture_output=True, env=env, timeout=120,
-    )
-    assert proc.stderr.decode() == "(0, False)"
+              "sys.stderr.write(repr((code, 'numpy.ma' in sys.modules,\n"
+              "                       '_hashlib' in sys.modules)))\n")
+    builtin_sha256 = any(importlib.util.find_spec(name) for name in ("_sha256", "_sha2"))
+    for argv in (["trace-lab", "--n", "3", "--p", "7", "--radius", "3", "--k", "3"],
+                 ["lemma-check", "--n", "4", "--p", "101", "--trials", "20"]):
+        proc = subprocess.run(
+            [sys.executable, "-c", script, *argv, "--out", str(tmp_path / "out.csv")],
+            capture_output=True, env=env, timeout=120,
+        )
+        assert proc.stderr.decode() == repr((0, False, not builtin_sha256)), argv
 
 
 def test_missing_out_directory_fails_before_the_run(capsys, tmp_path,

@@ -1,7 +1,10 @@
 """SL_n(F_p) matrix operations, invariants, and classification."""
 
+import itertools
+import tracemalloc
 from random import Random
 
+import numpy as np
 import pytest
 
 from slgrowth import (
@@ -11,6 +14,7 @@ from slgrowth import (
     SpecialLinear,
     full_group,
 )
+from slgrowth.matrices import SPLIT_BLOCK, SPLIT_SCAN_ENTRIES, char_poly_batch
 
 from oracles import (
     charpoly_oracle,
@@ -19,6 +23,7 @@ from oracles import (
     minimal_polynomial_oracle,
     poly_mul,
     root_multiplicities,
+    split_regular_oracle,
 )
 
 RS = SemisimplicityClass.REGULAR_SEMISIMPLE
@@ -388,6 +393,86 @@ def test_random_regular_semisimple():
         for _ in range(30):
             g = space.random_regular_semisimple(rng)
             assert space.is_regular_semisimple(g)
+
+
+# ---------------------------------------------------------------------------
+# batched characteristic polynomials and the split regular stream
+
+
+def singular_matrices(n, p, rng, count):
+    """Matrices of every rank below n: random ones with a row replaced
+    by a combination of the others, the nilpotent Jordan block, zero."""
+    out = [(0,) * (n * n), tuple(int(j == i + 1) for i in range(n) for j in range(n))]
+    while len(out) < count:
+        rows = [[rng.randrange(p) for _ in range(n)] for _ in range(n)]
+        rank = rng.randrange(n)
+        for i in range(rank, n):
+            coeffs = [rng.randrange(p) for _ in range(rank)]
+            rows[i] = [sum(c * rows[k][j] for k, c in enumerate(coeffs)) % p
+                       for j in range(n)]
+        rng.shuffle(rows)
+        out.append(tuple(x for row in rows for x in row))
+    return out
+
+
+@pytest.mark.parametrize("n,p", [(2, 5), (3, 7), (4, 101), (5, 13), (5, 65521)])
+def test_char_poly_batch_matches_char_poly_full(n, p):
+    space = sl(n, p)
+    rng = Random(n * p)
+    members = [space.random_element(rng) for _ in range(40)]
+    arbitrary = [tuple(rng.randrange(p) for _ in range(n * n)) for _ in range(40)]
+    singular = singular_matrices(n, p, rng, 40)
+    for mats in (members, arbitrary, singular):
+        stack = np.array(mats, dtype=np.int64).reshape(-1, n, n)
+        got = char_poly_batch(stack, p).tolist()
+        assert got == [space.char_poly_full(g) for g in mats]
+        if p < 1000:
+            assert got == [charpoly_oracle(n, p, g) for g in mats]
+    # any leading batch shape; the constant term of a singular g is 0
+    stack = np.array(singular[:12], dtype=np.int64).reshape(3, 4, n, n)
+    coeffs = char_poly_batch(stack, p)
+    assert coeffs.shape == (3, 4, n + 1)
+    assert not coeffs[..., 0].any()
+
+
+@pytest.mark.parametrize("n,p,count", [(2, 5, 400), (2, 7, 400), (3, 7, 300),
+                                       (3, 31, 300), (4, 101, 100)])
+def test_split_regulars_is_the_sequential_stream(n, p, count):
+    """Same (g, eigenvalues) in the same order as one random_element
+    draw at a time; at p = 5 about a quarter of the 2x2 chunks are
+    singular, so the stream must drop them exactly as it does."""
+    space = sl(n, p)
+    for seed in (0, 1):
+        oracle_rng = Random(seed)
+        want = [split_regular_oracle(space, oracle_rng) for _ in range(count)]
+        assert list(itertools.islice(space.split_regulars(Random(seed)), count)) == want
+
+
+def test_split_regulars_bound_the_root_table_at_wide_p():
+    space = sl(2, 65521)
+    block = min(SPLIT_BLOCK, SPLIT_SCAN_ENTRIES // space.p)
+    assert 1 <= block and block * space.p <= SPLIT_SCAN_ENTRIES
+    oracle_rng = Random(4)
+    want = [split_regular_oracle(space, oracle_rng) for _ in range(5)]
+    tracemalloc.start()
+    try:
+        got = list(itertools.islice(space.split_regulars(Random(4)), 5))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert got == want
+    # one (block, p) int64 table of values, its zero mask and x^k mod p
+    assert peak < 2 * 8 * SPLIT_SCAN_ENTRIES
+
+
+def test_split_regulars_give_up_on_sl2_f3():
+    """SL_2(F_3) has no split regular element: both give up with the
+    same error."""
+    space = sl(2, 3)
+    with pytest.raises(ValueError, match="no split regular element found"):
+        split_regular_oracle(space, Random(0))
+    with pytest.raises(ValueError, match="no split regular element found"):
+        next(space.split_regulars(Random(0)))
 
 
 # ---------------------------------------------------------------------------
