@@ -21,13 +21,19 @@ bits and at most KEYED_BITS_PER_ELEMENT bits per element the expansion
 can reach (|G| for a closure, min(|G|, |S|^radius) for a ball), and the
 tuple path otherwise: for wide key spaces such as SL_3(F_7) and for
 small sets in a large group.  Expansion runs in one thread.
+
+A closure takes its generators one at a time, skips those it already
+holds, and decodes its members only when they are iterated or tested
+(ClosureMembers).
 """
 
 from __future__ import annotations
 
 import math
 import time
+from collections.abc import Set
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property, partial
 from itertools import chain
 from typing import Iterable, Optional
 
@@ -140,17 +146,22 @@ class _TupleExpander:
     otherwise as x*s (closures).
     """
 
-    def __init__(self, space: SpecialLinear, start, gens, left: bool):
+    def __init__(self, space: SpecialLinear, start, left: bool):
         self.mul = space.mul
-        self.gens = list(gens)
         self.left = left
         self.start = list(start)
         self.seen = set(self.start)
 
-    def step(self, frontier) -> list:
+    def __contains__(self, g) -> bool:
+        return g in self.seen
+
+    def join(self, shells) -> list:
+        return list(chain.from_iterable(shells))
+
+    def step(self, frontier, gens) -> list:
         """The products of the frontier with the generators not seen
         before; marks them seen."""
-        mul, gens, seen = self.mul, self.gens, self.seen
+        mul, seen = self.mul, self.seen
         fresh = []
         for x in frontier:
             for s in gens:
@@ -180,12 +191,11 @@ class _KeyedExpander:
     int32 halves the cost of the matmul and of the reduction mod p.
     """
 
-    def __init__(self, space: SpecialLinear, start, gens, left: bool):
+    def __init__(self, space: SpecialLinear, start, left: bool):
         n, p = space.n, space.p
         self.n, self.p = n, p
         self.left = left
         self.weights = p ** np.arange(n * n - 1, -1, -1, dtype=np.int32)
-        self.gens = self._digits(self._encode(gens))
         self.seen = np.zeros(-(-(p ** (n * n)) // 8), dtype=np.uint8)
         self.start = self._encode(start)
         self._mark(self.start)
@@ -201,10 +211,17 @@ class _KeyedExpander:
     def _mark(self, keys):
         np.bitwise_or.at(self.seen, keys >> 3, (1 << (keys & 7)).astype(np.uint8))
 
-    def step(self, frontier) -> np.ndarray:
+    def __contains__(self, g) -> bool:
+        key = int(self._encode([g])[0])
+        return bool(self.seen[key >> 3] >> (key & 7) & 1)
+
+    def join(self, shells) -> np.ndarray:
+        return np.concatenate(shells)
+
+    def step(self, frontier, gens) -> np.ndarray:
         """Keys of the products of the frontier with the generators not
         seen before, sorted within each chunk; marks them seen."""
-        gens, p = self.gens, self.p
+        gens, p = self._digits(self._encode(gens)), self.p
         size = max(1, CHUNK_PRODUCTS // max(1, len(gens)))
         fresh = []
         for lo in range(0, len(frontier), size):
@@ -279,14 +296,14 @@ def _ball_shells(A: ElementSet, radius: int, budget: Budget):
     deadline = budget.start_clock()
     seed = sorted(symmetrized(A).members)
     bound = _word_bound(len(seed), radius, space.order())
-    grow = _expander(space, bound)(space, seed, seed, left=True)
+    grow = _expander(space, bound)(space, seed, left=True)
     shells = [grow.start]
     count = len(seed)
     _check_budget(count, budget, deadline, "word ball")
     sizes = {1: count}
     for r in range(2, radius + 1):
         if len(shells[-1]):
-            shells.append(grow.step(shells[-1]))
+            shells.append(grow.step(shells[-1], seed))
             count += len(shells[-1])
             _check_budget(count, budget, deadline, "word ball")
         sizes[r] = count
@@ -334,10 +351,43 @@ def standard_generators(space: SpecialLinear) -> ElementSet:
     )
 
 
+class ClosureMembers(Set):
+    """A closure's members: the size is known at once, and the tuples are
+    decoded on first iteration or membership test into `members`."""
+
+    def __init__(self, count: int, decode):
+        self._count, self._decode = count, decode
+
+    @cached_property
+    def members(self) -> frozenset:
+        decode, self._decode = self._decode, None  # frees the shells after
+        return decode()
+
+    @classmethod
+    def _from_iterable(cls, it) -> frozenset:
+        return frozenset(it)  # what the set operators return
+
+    def __len__(self):
+        return self._count
+
+    def __iter__(self):
+        return iter(self.members)
+
+    def __contains__(self, g):
+        return g in self.members
+
+
 def generated_closure(space: SpecialLinear, A: Optional[ElementSet] = None,
-                      budget: Budget = DEFAULT_BUDGET) -> frozenset:
+                      budget: Budget = DEFAULT_BUDGET) -> ClosureMembers:
     """Closure of A u A^{-1} under multiplication (the generated
-    subgroup), by breadth-first search from the identity."""
+    subgroup), by breadth-first search from the identity.
+
+    The members of A join in canonical order unless the closure so far
+    holds them.  A new g multiplies every member so far by g and g^{-1},
+    then the search goes on over all generators taken.  The members so
+    far are closed under the earlier generators, so a path out of them
+    starts in that first new shell.
+    """
     if A is None:
         A = standard_generators(space)
     order = space.order()
@@ -347,18 +397,27 @@ def generated_closure(space: SpecialLinear, A: Optional[ElementSet] = None,
             f"{budget.max_elements}"
         )
     deadline = budget.start_clock()
-    gens = set(A.members)
-    gens.update(space.inv(g) for g in A.members)
-    grow = _expander(space, order)(space, [space.identity()], sorted(gens), left=False)
+    grow = _expander(space, order)(space, [space.identity()], left=False)
     shells = [grow.start]
     count = 1
-    while len(shells[-1]):
-        shells.append(grow.step(shells[-1]))
-        count += len(shells[-1])
+    active: list = []
+    for g in sorted(A.members):
         if count == order:
             break
-        _check_budget(count, budget, deadline, "subgroup closure")
-    return grow.members(shells)
+        if g in grow:
+            continue
+        pair = sorted({g, space.inv(g)})
+        active.extend(pair)
+        frontier, over = grow.join(shells), pair
+        while len(frontier):
+            frontier = grow.step(frontier, over)
+            shells.append(frontier)
+            count += len(frontier)
+            if count == order:
+                break
+            _check_budget(count, budget, deadline, "subgroup closure")
+            over = active
+    return ClosureMembers(count, partial(grow.members, shells))
 
 
 def full_group(space: SpecialLinear, budget: Budget = DEFAULT_BUDGET) -> ElementSet:
@@ -366,15 +425,14 @@ def full_group(space: SpecialLinear, budget: Budget = DEFAULT_BUDGET) -> Element
     closure = generated_closure(space, budget=budget)
     if len(closure) != space.order():
         raise RuntimeError("standard generators failed to generate; bug")
-    return ElementSet(space, closure)
+    return ElementSet(space, closure.members)
 
 
 def generates(A: ElementSet, budget: Budget = DEFAULT_BUDGET) -> bool:
-    """Does A generate the whole group?  Indeterminate when |G| exceeds
-    the closure budget."""
+    """Does A generate the whole group?  Counts the closure without
+    decoding it; Indeterminate when |G| exceeds the closure budget."""
     space = A.space
-    closure = generated_closure(space, A, budget)
-    return len(closure) == space.order()
+    return len(generated_closure(space, A, budget)) == space.order()
 
 
 @dataclass

@@ -250,6 +250,29 @@ def energy_by_convolution(p, xs, ys):
 
 
 # ---------------------------------------------------------------------------
+# subgroup closure oracle
+
+
+def closure_oracle(space, gens):
+    """The subgroup generated by gens: breadth-first search from the
+    identity over every generator and every inverse at once, one tuple
+    product at a time."""
+    gens = set(gens) | {space.inv(g) for g in gens}
+    seen = {space.identity()}
+    frontier = list(seen)
+    while frontier:
+        fresh = []
+        for x in frontier:
+            for s in gens:
+                y = space.mul(x, s)
+                if y not in seen:
+                    seen.add(y)
+                    fresh.append(y)
+        frontier = fresh
+    return frozenset(seen)
+
+
+# ---------------------------------------------------------------------------
 # trace-lab oracle
 
 
