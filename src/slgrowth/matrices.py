@@ -280,8 +280,10 @@ class SpecialLinear:
 
     # -- characteristic and minimal polynomials ---------------------------
 
-    def char_poly_full(self, g: Mat) -> list[int]:
-        """Coefficients of det(xI - g), lowest degree first, monic."""
+    def char_poly_full(self, g: Mat, powers: Optional[list] = None) -> list[int]:
+        """Coefficients of det(xI - g), lowest degree first, monic.  At
+        n >= 4 they come from the power traces of [I, g, ..., g^n]:
+        `powers` when given, else power_list(g, n)."""
         n, p = self.n, self.p
         if n == 2:
             return [(g[0] * g[3] - g[1] * g[2]) % p, (-(g[0] + g[3])) % p, 1]
@@ -298,7 +300,8 @@ class SpecialLinear:
             e3 = self.det(g)
             return [(-e3) % p, e2, (-e1) % p, 1]
         # Newton's identities on power traces; valid since p > n
-        powers = self.power_list(g, n)
+        if powers is None:
+            powers = self.power_list(g, n)
         ptr = [self.trace(powers[i]) for i in range(n + 1)]
         es = [1] + [0] * n
         field = self.field
@@ -467,24 +470,28 @@ class SpecialLinear:
                 for j, g in enumerate(mats.reshape(-1, n * n).tolist())]
 
     def regular_semisimples(self, rng, max_tries: int = 10_000):
-        """Endless stream of (g, char_poly_full(g)) for regular
-        semisimple g, drawn by repeated random_element(rng) calls.  It
-        draws one candidate at a time and nothing ahead of what it
-        yields, so the caller may draw from rng between items.  Raises
-        RuntimeError after max_tries candidates in a row are rejected.
+        """Endless stream of (g, char_poly_full(g), power_list(g, n)) for
+        regular semisimple g, drawn by repeated random_element(rng)
+        calls; at n >= 4 the charpoly is read from those powers, so they
+        are built once.  It draws one candidate at a time and nothing
+        ahead of what it yields, so the caller may draw from rng between
+        items.  Raises RuntimeError after max_tries candidates in a row
+        are rejected.
         """
+        n = self.n
         misses = 0
         while True:
             g = self.random_element(rng)
-            full = self.char_poly_full(g)
+            powers = self.power_list(g, n) if n >= 4 else None
+            full = self.char_poly_full(g, powers)
             if polys.is_squarefree(full, self.field):
                 misses = 0
-                yield g, full
+                yield g, full, powers or self.power_list(g, n)
                 continue
             misses += 1
             if misses == max_tries:
                 raise RuntimeError("no regular semisimple element found; tiny field?")
 
     def random_regular_semisimple(self, rng, max_tries: int = 10_000) -> Mat:
-        g, _ = next(self.regular_semisimples(rng, max_tries))
+        g, _, _ = next(self.regular_semisimples(rng, max_tries))
         return g

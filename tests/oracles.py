@@ -211,6 +211,12 @@ def energy_by_pairs(p, xs, ys):
     return sum(c * c for c in counts.values())
 
 
+def difference_counts_by_pairs(p, xs, ys):
+    """[r(d) for d in 0..p-1], r(d) = #{(a, b) : a - b = d mod p}, pair by pair."""
+    counts = Counter((a - b) % p for a in xs for b in ys)
+    return [counts[d] for d in range(p)]
+
+
 def support_by_pairs(p, xs, ys):
     """The difference set X - Y, collected pair by pair."""
     return {(a - b) % p for a in xs for b in ys}

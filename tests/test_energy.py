@@ -27,6 +27,7 @@ from slgrowth import (
 )
 
 from oracles import (
+    difference_counts_by_pairs,
     energy_by_autocorrelation,
     energy_by_convolution,
     energy_by_pairs,
@@ -115,6 +116,55 @@ def test_energy_chunked_blocks_agree(monkeypatch):
     e, counts = additive_energy(scalar(p, xs), scalar(p, ys))
     assert e == whole
     assert np.array_equal(counts, whole_counts)
+
+
+def assert_energy_is_oracle(p, xs, ys):
+    xs, ys = set(xs), set(ys)
+    e, counts = additive_energy(scalar(p, xs), scalar(p, ys))
+    assert counts.dtype == np.int64 and counts.shape == (p,)
+    assert counts.tolist() == difference_counts_by_pairs(p, xs, ys)
+    assert e == energy_by_pairs(p, xs, ys)
+    if p < 1000:  # the slot-packed product grows with p
+        assert e == energy_by_convolution(p, xs, ys)
+
+
+def test_energy_folds_the_extreme_differences():
+    """With 0 and p - 1 in both sets the offset differences a + p - b
+    reach both ends, 1 and 2p - 1, so d = +-(p - 1) fold onto 1 and
+    p - 1; singletons put all of X - Y in one bin on either side."""
+    for p in (3, 5, 101, 65521):
+        assert_energy_is_oracle(p, [0, p - 1], [0, p - 1])
+        assert_energy_is_oracle(p, [0], [p - 1])
+        assert_energy_is_oracle(p, [p - 1], [0])
+        assert_energy_is_oracle(p, [0, 1, p - 2, p - 1], [p - 1])
+
+
+def test_energy_at_the_widest_field():
+    p = 65521
+    rng = Random(65521)
+    for _ in range(3):
+        xs = rng.sample(range(p), rng.randint(1, 120)) + [0, p - 1]
+        ys = rng.sample(range(p), rng.randint(1, 120)) + [p - 1]
+        assert_energy_is_oracle(p, xs, ys)
+
+
+def test_energy_of_the_whole_field_against_the_oracles():
+    for p in (3, 13, 101):
+        assert_energy_is_oracle(p, range(p), range(p))
+        assert_energy_is_oracle(p, range(p), [0, p - 1])
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 64, 1000])
+def test_energy_in_small_blocks_against_the_oracles(monkeypatch, chunk):
+    """A chunk below |Y| gives one x per block; the others split X into
+    uneven blocks, the last one short."""
+    monkeypatch.setattr(energy_mod, "_CHUNK_ENTRIES", chunk)
+    rng = Random(chunk)
+    for p in (101, 65521):
+        xs = rng.sample(range(p), 45) + [0, p - 1]
+        ys = rng.sample(range(p), 30) + [0, p - 1]
+        assert_energy_is_oracle(p, xs, ys)
+    assert_energy_is_oracle(101, range(101), range(101))
 
 
 def test_energy_symmetry():
@@ -303,3 +353,35 @@ def test_vital_report_csv_shape(capsys, tmp_path):
     assert sum(1 for r in rows if r[0] == "fiber") == report.y_size
     size = header.index("fiber_size")
     assert [int(r[size]) for r in rows[:-1]] == [s for _, s, _ in report.rows]
+
+
+@pytest.mark.parametrize("p,size", [(10007, 300), (1009, 60), (7, 9)])
+def test_energy_run_leaves_the_generator_as_the_stdlib_draws(monkeypatch, capsys,
+                                                            tmp_path, p, size):
+    """The energy command reads its sets through a WordReader; its rows
+    hold the sizes that rng.randint and rng.sample(range(p), k) draw,
+    and its generator ends in the state those calls leave."""
+    stream_rng = cli.stream_rng
+    streams = []
+
+    def recording_stream_rng(seed, stream):
+        rng = stream_rng(seed, stream)
+        streams.append((seed, stream, rng))
+        return rng
+
+    monkeypatch.setattr(cli, "stream_rng", recording_stream_rng)
+    target = tmp_path / "energy.csv"
+    assert cli.main(["energy", "--p", str(p), "--size", str(size), "--trials", "40",
+                     "--seed", "3", "--out", str(target)]) == 0
+    capsys.readouterr()
+    [(seed, stream, used)] = streams
+    want = stream_rng(seed, stream)
+    cap = min(size, p)
+    rows = [line.split(",") for line in target.read_text().splitlines()[1:]]
+    for row in rows:
+        nx, ny = want.randint(1, cap), want.randint(1, cap)
+        X, Y = want.sample(range(p), nx), want.sample(range(p), ny)
+        assert (int(row[2]), int(row[3])) == (nx, ny)
+        assert int(row[4]) == energy_by_pairs(p, X, Y)
+    assert len(rows) == 40
+    assert used.getstate() == want.getstate()

@@ -5,7 +5,10 @@ before the keyed expansion kernel replaced the tuple loops (the CSV
 cases and the expand JSON cases) and before one row-reduction core
 replaced the separate elimination loops (the other JSON cases, the
 n = 3 trace-lab and n = 4 lemma-check runs, and the p = 257 cases for
-two-byte entries).  Any change to how balls, closures, eliminations or
+two-byte entries).  The energy cases with p = 1009 (every set drawn by
+sample's set branch) and with --size above p = 7 (ten sets of k = p
+elements) were frozen before the sets were read from bulk generator
+words.  Any change to how balls, closures, eliminations or
 reports are computed that alters an output byte fails here.  Refreeze only for a change meant to alter the
 outputs, and say so where the change is logged.
 """
@@ -71,6 +74,12 @@ CASES = [
     ("torus-scan-p257",
      ["torus-scan", "--n", "2", "--p", "257", "--radius", "2", "--k", "1",
       "--k", "2", "--seed", "1"], ".csv"),
+    ("energy-set-branch",
+     ["energy", "--p", "1009", "--size", "60", "--trials", "25", "--seed", "5"],
+     ".csv"),
+    ("energy-whole-field",
+     ["energy", "--p", "7", "--size", "9", "--trials", "25", "--seed", "5"],
+     ".csv"),
 ]
 
 # case name -> {output file relative to --out: sha256}
@@ -148,6 +157,14 @@ GOLDEN = {
     "torus-scan-p257": {
         "out.csv":
             "c07fc7bd6328fbbad80cd94681586377fd862e4eb96884ab1dc8e5b6fe6dff9a",
+    },
+    "energy-set-branch": {
+        "out.csv":
+            "3112f7ec9bdf56db6633556da113a48f26c975703d31e078d6943cf4de46a267",
+    },
+    "energy-whole-field": {
+        "out.csv":
+            "7e959eb6d41e09bbdbfd703af6ab608e01df564aa6724c2278bfcce18fee89d9",
     },
 }
 

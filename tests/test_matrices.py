@@ -14,6 +14,7 @@ from slgrowth import (
     SpecialLinear,
     full_group,
 )
+from slgrowth import cli, polys
 from slgrowth.matrices import SPLIT_BLOCK, SPLIT_SCAN_ENTRIES, char_poly_batch
 
 from oracles import (
@@ -393,6 +394,46 @@ def test_random_regular_semisimple():
         for _ in range(30):
             g = space.random_regular_semisimple(rng)
             assert space.is_regular_semisimple(g)
+
+
+@pytest.mark.parametrize("n,p", [(2, 5), (3, 7), (4, 11), (5, 13)])
+def test_regular_semisimples_yield_charpoly_and_powers(n, p):
+    """The same g as one random_element draw at a time filtered by the
+    squarefree test, each with its charpoly and [I, g, ..., g^n]."""
+    space = sl(n, p)
+    oracle_rng = Random(n * p)
+    want = []
+    while len(want) < 20:
+        g = space.random_element(oracle_rng)
+        if polys.is_squarefree(charpoly_oracle(n, p, g), space.field):
+            want.append(g)
+    stream = space.regular_semisimples(Random(n * p))
+    for g, (got, full, powers) in zip(want, stream):
+        assert got == g
+        assert full == charpoly_oracle(n, p, g)
+        assert powers == space.power_list(g, n)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_f_identity_builds_the_powers_of_t_once(monkeypatch, n):
+    """At n >= 4 the charpoly that draws t is read from t's powers, and
+    the f-identity check reuses them: one power_list per candidate."""
+    calls = {"power_list": 0, "char_poly_full": 0}
+    for name in calls:
+        method = getattr(SpecialLinear, name)
+
+        def counted(self, *args, _method=method, _name=name):
+            calls[_name] += 1
+            return _method(self, *args)
+
+        monkeypatch.setattr(SpecialLinear, name, counted)
+    trials = 40
+    passes, ran = cli.f_identity_suite(n, 31, trials, Random(2))
+    assert passes == ran == trials
+    if n >= 4:
+        assert calls["power_list"] == calls["char_poly_full"] >= trials
+    else:
+        assert calls["power_list"] == trials
 
 
 # ---------------------------------------------------------------------------
