@@ -344,8 +344,8 @@ def lindep_suite(n: int, p: int, trials: int, rng: Random) -> tuple[int, int]:
     fld = space.field
     passes = 0
     # zip asks range first, so the stream draws no block past the last trial
-    for _, (t, eigs) in zip(range(trials), space.split_regulars(rng)):
-        dependent_all, independent_subsets = lindep_check(space, t)
+    for _, (_, eigs) in zip(range(trials), space.split_regulars(rng)):
+        dependent_all, independent_subsets = lindep_check(fld, eigs)
         expected = all(
             elementary_symmetric(fld, eigs, m) != 0 for m in range(1, n)
         )

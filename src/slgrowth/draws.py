@@ -99,18 +99,6 @@ class WordReader:
                 return out
             self._pos += len(values)
 
-    def randrange_array(self, n: int, count: int) -> np.ndarray:
-        """[rng.randrange(n) for _ in range(count)] as an int64 array."""
-        shift = _shift(n)
-        parts = [np.zeros(0, dtype="<u4")]
-        # a window of as many words as values still wanted is read whole
-        while count:
-            values = self._window(count) >> shift
-            self._pos += len(values)
-            parts.append(values[values < n])
-            count -= len(parts[-1])
-        return np.concatenate(parts).astype(np.int64)
-
 
 def _shift(n: int) -> int:
     if not 0 < n < 1 << 32:

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import log
 from typing import NamedTuple
 
 import numpy as np
@@ -25,6 +24,7 @@ from .tracelab import (
     _require_split,
     dyadic_bins,
     f_of,
+    fiber_exponent,
     lindep_check,
     popular_tuple,
     shift_table,
@@ -165,14 +165,13 @@ def assemble_vital_instance(A: ElementSet, D: ElementSet, pool_radius: int,
         raise ValueError("vital instances need a nonempty witness set D")
     n = space.n
     field = space.field
-    for t in D.members:
-        _require_split(space, t, "vital instances")
+    eigenvalues = {t: _require_split(space, t, "vital instances") for t in D.members}
 
     pool = word_ball(A, pool_radius, budget)
     kept: list[Mat] = []
     excluded: list[Mat] = []
     for t in D.sorted_members():
-        _, independent = lindep_check(space, t)
+        _, independent = lindep_check(field, eigenvalues[t])
         if independent:
             kept.append(t)
         else:
@@ -266,11 +265,7 @@ def vital_diagnostics(X: ScalarSet, Y: VectorSet, fibers: FiberFamily,
         fib = fibers.fiber(y)
         size = len(fib)
         sizes.append(size)
-        if degenerate or size == 0:
-            exponent = 0.0
-        else:
-            exponent = log(size) / log(len(X))
-        rows.append((y, size, exponent))
+        rows.append((y, size, fiber_exponent(size, len(X))))
     pi1 = sorted({y[0] for y in Y.elements})
     energy_sum = 0
     for y1 in pi1:

@@ -56,10 +56,6 @@ class PrimeField:
     def __repr__(self):
         return f"PrimeField({self.p})"
 
-    def element(self, a: int) -> int:
-        """Canonical representative of a in [0, p)."""
-        return a % self.p
-
     def inv(self, a: int) -> int:
         a %= self.p
         if a == 0:
@@ -67,11 +63,3 @@ class PrimeField:
         if self._inv_table is not None:
             return self._inv_table[a]
         return pow(a, self.p - 2, self.p)
-
-    def pow(self, a: int, e: int) -> int:
-        """a**e mod p; negative e allowed for invertible a."""
-        return pow(a % self.p, e, self.p)
-
-    def units(self):
-        """Iterate 1..p-1."""
-        return range(1, self.p)

@@ -108,10 +108,6 @@ class ElementSet:
     def __repr__(self):
         return f"ElementSet({self.space!r}, {len(self.members)} elements)"
 
-    def union(self, other: "ElementSet") -> "ElementSet":
-        _require_same_space(self, other)
-        return ElementSet(self.space, self.members | other.members)
-
     def sorted_members(self) -> list[Mat]:
         """Members in canonical (byte-lexicographic) order."""
         return sorted(self.members)
@@ -122,11 +118,6 @@ class ElementSet:
         lines = [f"n={space.n} p={space.p} count={len(self.members)}"]
         lines.extend(space.encode(g).hex() for g in self.sorted_members())
         return lines
-
-
-def _require_same_space(a: ElementSet, b: ElementSet):
-    if a.space != b.space:
-        raise ValueError(f"ambient mismatch: {a.space!r} vs {b.space!r}")
 
 
 def symmetrized(A: ElementSet) -> ElementSet:
@@ -421,7 +412,8 @@ def generated_closure(space: SpecialLinear, A: Optional[ElementSet] = None,
 
 
 def full_group(space: SpecialLinear, budget: Budget = DEFAULT_BUDGET) -> ElementSet:
-    """All of SL_n(F_p) as an ElementSet (desk-scale orders only)."""
+    """All of SL_n(F_p) as an ElementSet (desk-scale orders only): the
+    group G of the paper, which the tests check balls and tori against."""
     closure = generated_closure(space, budget=budget)
     if len(closure) != space.order():
         raise RuntimeError("standard generators failed to generate; bug")

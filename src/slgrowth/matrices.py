@@ -258,19 +258,6 @@ class SpecialLinear:
             raise SingularMatrix("determinant is zero")
         return tuple(x for row in m for x in row[n:])
 
-    def power(self, g: Mat, e: int) -> Mat:
-        if e < 0:
-            return self.power(self.inv(g), -e)
-        result = self._identity
-        base = g
-        while e > 0:
-            if e & 1:
-                result = self.mul(result, base)
-            e >>= 1
-            if e:
-                base = self.mul(base, base)
-        return result
-
     def power_list(self, g: Mat, top: int) -> list[Mat]:
         """[I, g, g^2, ..., g^top] by repeated multiplication."""
         out = [self._identity]
@@ -338,7 +325,8 @@ class SpecialLinear:
 
         The kernel vector of the matrix whose columns are those powers
         has its first free column, the degree of the minimal
-        polynomial, set to 1 and every later column set to 0.
+        polynomial, set to 1 and every later column set to 0.  Only
+        classify_semisimple needs it.
         """
         powers = self.power_list(g, self.n)
         return polys.trim(linalg.nullspace_vector(list(zip(*powers)), self.field))
@@ -351,6 +339,8 @@ class SpecialLinear:
         Distinct eigenvalues (charpoly squarefree) give the regular case;
         otherwise diagonalizability is decided by squarefreeness of the
         minimal polynomial.  Valid since p > n keeps everything separable.
+        No subcommand calls it (trace-lab decides per class, in numpy);
+        it is the per-element reference, and perfbench/kernels.py times it.
         """
         field = self.field
         f = self.char_poly_full(g)
@@ -387,6 +377,8 @@ class SpecialLinear:
         return bytes(out)
 
     def decode(self, data: bytes) -> Mat:
+        """Inverse of encode, with its length and range checked: reads
+        the hex lines of an expand dump back into matrices."""
         n, w = self.n, self._entry_width
         if len(data) != n * n * w:
             raise ValueError(f"expected {n * n * w} bytes, got {len(data)}")
@@ -491,7 +483,3 @@ class SpecialLinear:
             misses += 1
             if misses == max_tries:
                 raise RuntimeError("no regular semisimple element found; tiny field?")
-
-    def random_regular_semisimple(self, rng, max_tries: int = 10_000) -> Mat:
-        g, _, _ = next(self.regular_semisimples(rng, max_tries))
-        return g

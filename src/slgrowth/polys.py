@@ -23,15 +23,6 @@ def degree(f: list) -> int:
     return len(f) - 1  # -1 for the zero polynomial
 
 
-def add(f: list, g: list, p: int) -> list:
-    if len(f) < len(g):
-        f, g = g, f
-    out = list(f)
-    for i, c in enumerate(g):
-        out[i] = (out[i] + c) % p
-    return trim(out)
-
-
 def sub(f: list, g: list, p: int) -> list:
     out = list(f) + [0] * (len(g) - len(f))
     for i, c in enumerate(g):
@@ -105,13 +96,6 @@ def evaluate(f: list, x: int, p: int) -> int:
     for c in reversed(f):
         acc = (acc * x + c) % p
     return acc
-
-
-def from_roots(roots, p: int) -> list:
-    out = [1]
-    for r in roots:
-        out = mul(out, [(-r) % p, 1], p)
-    return out
 
 
 def pow_mod(f: list, e: int, modulus: list, field: PrimeField) -> list:

@@ -78,7 +78,8 @@ class ClassTuple:
 
 
 def trace_tuple(space: SpecialLinear, g: Mat, t: Mat, i: int) -> TraceTuple:
-    """(tr(t^k g) for k = 0..n, k != i)."""
+    """(tr(t^k g) for k = 0..n, k != i).  The per-pair reference for
+    distinct_tuple_counts; perfbench/traced.py looks it up in cli."""
     n = space.n
     if not 0 <= i <= n:
         raise ValueError(f"omitted index {i} out of range 0..{n}")
@@ -91,7 +92,9 @@ def trace_tuple(space: SpecialLinear, g: Mat, t: Mat, i: int) -> TraceTuple:
 
 def class_tuple(space: SpecialLinear, g: Mat, t: Mat, i: int) -> ClassTuple:
     """Invariant tuples of the kept shifts t^k g, k != i (all shifts
-    must be semisimple for the tuple to be class-faithful)."""
+    must be semisimple for the tuple to be class-faithful).  The
+    per-pair reference for distinct_tuple_counts; perfbench/traced.py
+    looks it up in cli."""
     n = space.n
     if not 0 <= i <= n:
         raise ValueError(f"omitted index {i} out of range 0..{n}")
@@ -209,7 +212,9 @@ def _wealths(table: ShiftTable, i: int) -> Counter:
 
 def wealth(t: Mat, i: int, r: int, pool: ElementSet) -> int:
     """Number of distinct invariant tuples kappa(t^i g) over pool
-    elements g with tr(t^i g) = r and t^i g semisimple."""
+    elements g with tr(t^i g) = r and t^i g semisimple: the paper's
+    definition, for one (i, r); dyadic_bins reads every count off one
+    shift table instead."""
     space = pool.space
     n = space.n
     if not 0 <= i <= n:
@@ -323,15 +328,11 @@ def f_of(space: SpecialLinear, t: Mat) -> FVector:
     return f_from_char_poly(space, _require_regular(space, t, "the f map"))
 
 
-def f_relation_holds(space: SpecialLinear, t: Mat, g: Mat) -> bool:
-    """Check tr(t^n g) = sum_k r_k tr(t^k g) for one pair (t, g)."""
-    return f_of(space, t).predicts(space, space.power_list(t, space.n), g)
-
-
 def fiber_bound_check(S: ElementSet) -> tuple[int, Fraction]:
     """|f(S)| against the exact lower bound |S|/n! for a commuting set
     of regular semisimple elements.  Returns (image size, bound) and
-    raises FiberBoundViolation if the bound ever failed."""
+    raises FiberBoundViolation if the bound ever failed.  The paper's
+    lemma, checked by the acceptance tests; no subcommand reports it."""
     space = S.space
     mul = space.mul
     members = S.sorted_members()
@@ -351,22 +352,21 @@ def fiber_bound_check(S: ElementSet) -> tuple[int, Fraction]:
     return len(image), bound
 
 
-def lindep_check(space: SpecialLinear, t: Mat) -> tuple[bool, bool]:
+def lindep_check(field: PrimeField, eigs: list[int]) -> tuple[bool, bool]:
     """Linear (in)dependence of the forms g -> tr(t^i g), i = 0..n, in
-    eigenvalue coordinates of a split regular witness.
+    eigenvalue coordinates of a split regular witness t, given the n
+    distinct eigenvalues of t (as split_eigenvalues returns them).
 
     Returns (dependent_all, independent_subsets): the full n+1 forms
     are always dependent on the n-dimensional diagonal; every n-subset
     is independent exactly when each omit-one determinant is nonzero.
     """
-    eigs = _require_split(space, t, "dependence checks")
-    field = space.field
-    n = space.n
+    n = len(eigs)
     rows = []
     power = [1] * n
     for _ in range(n + 1):
         rows.append(list(power))
-        power = [(power[j] * eigs[j]) % space.p for j in range(n)]
+        power = [(power[j] * eigs[j]) % field.p for j in range(n)]
     dependent_all = linalg.rank_mod(rows, field) <= n
     independent_subsets = all(
         generalized_vandermonde_det(field, eigs, i) != 0 for i in range(n + 1)

@@ -34,6 +34,14 @@ def poly_add(a, b, p):
     return out
 
 
+def poly_from_roots(roots, p):
+    """prod_r (x - r), monic."""
+    out = [1]
+    for r in roots:
+        out = poly_mul(out, [(-r) % p, 1], p)
+    return out
+
+
 def synthetic_division(coeffs, root, p):
     """Divide by (x - root) via Horner; returns (quotient, remainder)."""
     n = len(coeffs) - 1
@@ -310,6 +318,12 @@ def dyadic_bins_oracle(space, t, members):
         )
         bins.setdefault(jvec, set()).add(g)
     return {jvec: frozenset(b) for jvec, b in bins.items()}
+
+
+def regular_semisimple(space, rng):
+    """The next regular semisimple g among space.random_element(rng)
+    draws; the stream draws nothing past it."""
+    return next(space.regular_semisimples(rng))[0]
 
 
 def split_regular_oracle(space, rng, max_tries=20_000):

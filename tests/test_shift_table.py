@@ -25,7 +25,7 @@ from slgrowth import (
 )
 from slgrowth.tracelab import SHIFT_CHUNK
 
-from oracles import classify_oracle, dyadic_bins_oracle
+from oracles import classify_oracle, dyadic_bins_oracle, regular_semisimple
 
 NS = SemisimplicityClass.NOT_SEMISIMPLE
 
@@ -77,7 +77,7 @@ def test_table_exhaustive_sl2(p):
 def test_table_sampled_sl3_f5_with_non_regular_classes():
     space = SpecialLinear(3, 5)
     rng = Random(5)
-    t = space.random_regular_semisimple(rng)
+    t = regular_semisimple(space, rng)
     # 5,000 members and 4 shifts: 20,000 classified elements
     sample = [space.random_element(rng) for _ in range(5000)]
     assert_table_matches(space, t, sample, True)
@@ -101,7 +101,7 @@ def test_table_sampled_sl3_f5_with_non_regular_classes():
 def test_table_sampled_sl4_generic_newton_path():
     space = SpecialLinear(4, 5)
     rng = Random(4)
-    t = space.random_regular_semisimple(rng)
+    t = regular_semisimple(space, rng)
     rows = space.from_rows
     # q = x^2 + x + 1 is irreducible over F_5; C its companion
     c = [[0, 4], [1, 4]]
@@ -124,7 +124,7 @@ def test_table_wide_codes_stay_exact():
     # p^(n-1) passes the int64 range at n = 5, p = 65521
     space = SpecialLinear(5, 65521)
     rng = Random(65521)
-    t = space.random_regular_semisimple(rng)
+    t = regular_semisimple(space, rng)
     members = [space.random_element(rng) for _ in range(12)]
     members.append(space.identity())
     members.append(space.from_rows(
@@ -139,7 +139,7 @@ def test_table_wide_codes_stay_exact():
 def test_table_chunk_edges(size):
     space = SpecialLinear(3, 5)
     rng = Random(size)
-    t = space.random_regular_semisimple(rng)
+    t = regular_semisimple(space, rng)
     members = set()
     while len(members) < size:
         members.add(space.random_element(rng))
@@ -176,7 +176,7 @@ def test_bins_and_counts_match_oracle_sl2_full_group():
 def test_bins_and_counts_match_oracle_sl3():
     space = SpecialLinear(3, 5)
     rng = Random(3)
-    t = space.random_regular_semisimple(rng)
+    t = regular_semisimple(space, rng)
     members = [space.random_element(rng) for _ in range(700)]
     assert check_bins_and_counts(space, t, members)
 
@@ -184,7 +184,7 @@ def test_bins_and_counts_match_oracle_sl3():
 def test_bins_and_counts_match_oracle_sl4():
     space = SpecialLinear(4, 5)
     rng = Random(44)
-    t = space.random_regular_semisimple(rng)
+    t = regular_semisimple(space, rng)
     members = [space.random_element(rng) for _ in range(300)]
     members.append(space.identity())
     assert check_bins_and_counts(space, t, members)

@@ -1,17 +1,12 @@
-"""Centralizer tori, torus orders, rich-torus scans, character kernels."""
+"""Centralizer tori, torus orders, rich-torus scans."""
 
 import pytest
 
 from slgrowth import (
-    CharacterSpec,
     ElementSet,
     InvalidWitness,
     SpecialLinear,
-    UnsupportedTorus,
     centralizer_torus,
-    character_kernel_members,
-    count_semisimple_classes,
-    eigenvector_basis,
     full_group,
     rich_torus_scan,
     standard_generators,
@@ -236,90 +231,3 @@ def test_scan_sorted_and_monotone_in_radius():
         assert rep.intersection_sizes[2] <= rep.intersection_sizes[3]
         assert rep.intersection_sizes[3] <= rep.torus_order
         assert rep.regular_count >= 1
-
-
-# ---------------------------------------------------------------------------
-# character kernels
-
-
-def test_character_kernel_frozen_examples():
-    space = SpecialLinear(2, 5)
-    T = split_torus(space)
-    g0 = space.from_rows([[2, 0], [0, 3]])
-    k20 = character_kernel_members(T, CharacterSpec((2, 0)), g0)
-    assert k20.members == frozenset(
-        [space.identity(), space.from_rows([[4, 0], [0, 4]])]
-    )
-    k11 = character_kernel_members(T, CharacterSpec((1, 1)), g0)
-    assert k11.members == T.members
-    k10 = character_kernel_members(T, CharacterSpec((1, 0)), g0)
-    assert k10.members == frozenset([space.identity()])
-
-
-def test_character_spec_validation():
-    with pytest.raises(ValueError):
-        CharacterSpec((0, 0))
-    with pytest.raises(ValueError):
-        CharacterSpec((17, 0))  # default exponent bound is 16
-    CharacterSpec((16, -16))  # at the bound is fine
-
-
-def test_character_kernel_rejects_nonsplit():
-    space = SpecialLinear(2, 7)
-    G = full_group(space)
-    J = space.from_rows([[0, 1], [6, 0]])
-    T = centralizer_torus(G, J)
-    with pytest.raises(UnsupportedTorus):
-        character_kernel_members(T, CharacterSpec((1, 0)), J)
-
-
-def test_character_kernel_exponent_count_check():
-    space = SpecialLinear(2, 5)
-    T = split_torus(space)
-    g0 = space.from_rows([[2, 0], [0, 3]])
-    with pytest.raises(ValueError):
-        character_kernel_members(T, CharacterSpec((1, 0, 0)), g0)
-
-
-def test_character_kernel_product_inclusion():
-    # kernel(alpha) n kernel(beta) <= kernel(alpha * beta)
-    space = SpecialLinear(2, 13)
-    T = split_torus(space)
-    g0 = space.from_rows([[2, 0], [0, 7]])
-    for ma, mb in (((2, 0), (3, 0)), ((1, -1), (2, 0)), ((4, 1), (1, 2))):
-        ka = character_kernel_members(T, CharacterSpec(ma), g0).members
-        kb = character_kernel_members(T, CharacterSpec(mb), g0).members
-        msum = tuple(x + y for x, y in zip(ma, mb))
-        ksum = character_kernel_members(T, CharacterSpec(msum), g0).members
-        assert ka & kb <= ksum
-
-
-def test_eigenvector_basis_property():
-    space = SpecialLinear(2, 5)
-    for rows in ([[2, 0], [0, 3]], [[0, 1], [4, 0]]):
-        g0 = space.from_rows(rows)
-        eigenvalues, basis = eigenvector_basis(space, g0)
-        assert eigenvalues == sorted(eigenvalues)
-        for lam, vec in zip(eigenvalues, basis):
-            image = [
-                sum(rows[i][j] * vec[j] for j in range(2)) % 5 for i in range(2)
-            ]
-            assert image == [(lam * x) % 5 for x in vec]
-
-
-# ---------------------------------------------------------------------------
-# class counting
-
-
-def test_count_classes_frozen():
-    space = SpecialLinear(2, 5)
-    only_i = ElementSet.from_matrices(space, [space.identity()])
-    assert count_semisimple_classes(only_i) == (0, 1)
-    pair = ElementSet.from_matrices(
-        space, [space.from_rows([[2, 0], [0, 3]]), space.from_rows([[3, 0], [0, 2]])]
-    )
-    assert count_semisimple_classes(pair) == (1, 0)
-    G = full_group(space)
-    # regular invariant values are the traces {0, 1, 4}; +-I are the only
-    # semisimple non-regular members
-    assert count_semisimple_classes(G) == (3, 2)

@@ -10,15 +10,16 @@ from slgrowth import (
     InvalidWitness,
     NoBins,
     NotInGroup,
+    PrimeField,
     SemisimplicityClass,
     SpecialLinear,
     UnsupportedTorus,
     WealthBin,
+    assemble_vital_instance,
     bin_spread,
     class_tuple,
     dyadic_bins,
     f_of,
-    f_relation_holds,
     fiber_bound_check,
     fiber_exponent,
     full_group,
@@ -28,7 +29,7 @@ from slgrowth import (
     wealth,
 )
 
-from oracles import charpoly_oracle, classify_oracle
+from oracles import charpoly_oracle, classify_oracle, regular_semisimple
 
 
 def iterated_power(space, t, k):
@@ -86,7 +87,7 @@ def test_trace_tuple_identity_witness():
 def test_trace_tuple_slot_discipline():
     space = SpecialLinear(3, 7)
     rng = Random(7)
-    t = space.random_regular_semisimple(rng)
+    t = regular_semisimple(space, rng)
     g = space.random_element(rng)
     for i in range(4):
         tup = trace_tuple(space, g, t, i)
@@ -112,7 +113,7 @@ def test_trace_tuple_index_range():
 def test_class_tuple_matches_charpoly_oracle():
     space = SpecialLinear(2, 7)
     rng = Random(11)
-    t = space.random_regular_semisimple(rng)
+    t = regular_semisimple(space, rng)
     g = space.random_element(rng)
     tup = class_tuple(space, g, t, 1)
     assert tup.omitted_index == 1
@@ -296,7 +297,7 @@ def test_f_of_leading_coefficient_sign():
     rng = Random(17)
     for n, p in ((2, 7), (3, 7), (4, 11)):
         space = SpecialLinear(n, p)
-        t = space.random_regular_semisimple(rng)
+        t = regular_semisimple(space, rng)
         fv = f_of(space, t)
         assert fv.coefficients[0] == (-1) ** (n + 1) % p
 
@@ -306,9 +307,9 @@ def test_f_relation_random_pairs():
     for n, p in ((2, 7), (2, 31), (3, 7), (3, 31), (4, 7)):
         space = SpecialLinear(n, p)
         for _ in range(50):
-            t = space.random_regular_semisimple(rng)
+            t = regular_semisimple(space, rng)
             g = space.random_element(rng)
-            assert f_relation_holds(space, t, g)
+            assert f_of(space, t).predicts(space, space.power_list(t, n), g)
 
 
 def test_f_relation_two_by_two_shape():
@@ -316,7 +317,7 @@ def test_f_relation_two_by_two_shape():
     space = SpecialLinear(2, 11)
     rng = Random(29)
     for _ in range(200):
-        t = space.random_regular_semisimple(rng)
+        t = regular_semisimple(space, rng)
         g = space.random_element(rng)
         lhs = space.trace_product(space.mul(t, t), g)
         rhs = (-space.trace(g) + space.trace(t) * space.trace_product(t, g)) % 11
@@ -344,7 +345,7 @@ def test_f_of_matches_the_invariant_tuple():
     for n, p in ((2, 7), (3, 7), (4, 11)):
         space = SpecialLinear(n, p)
         for _ in range(30):
-            t = space.random_regular_semisimple(rng)
+            t = regular_semisimple(space, rng)
             kappa = space.char_poly(t)  # (a_{n-1}, ..., a_1)
             expected = [(-1) ** (n + 1) % p] + [(-kappa[n - 1 - k]) % p for k in range(1, n)]
             assert f_of(space, t).coefficients == tuple(expected)
@@ -418,19 +419,15 @@ def test_fiber_exponent_values():
 def test_lindep_frozen_examples():
     # eigenvalues (2, 4) over F_7: sum 6 and product 1 both nonzero, so
     # every omit-one determinant survives
-    space7 = SpecialLinear(2, 7)
-    assert lindep_check(space7, space7.from_rows([[2, 0], [0, 4]])) == (True, True)
+    assert lindep_check(PrimeField(7), [2, 4]) == (True, True)
     # eigenvalues (2, 3) over F_5: the sum vanishes, so the subset that
     # omits the degree-1 row is singular; flagged, not an error
-    space5 = SpecialLinear(2, 5)
-    assert lindep_check(space5, space5.from_rows([[2, 0], [0, 3]])) == (True, False)
+    assert lindep_check(PrimeField(5), [2, 3]) == (True, False)
 
 
 def test_lindep_power_sums_nonzero_case():
     # eigenvalues (3, 5) over F_7: sum 1, product 1, distinct
-    space = SpecialLinear(2, 7)
-    t = space.from_rows([[3, 0], [0, 5]])
-    assert lindep_check(space, t) == (True, True)
+    assert lindep_check(PrimeField(7), [3, 5]) == (True, True)
 
 
 def test_lindep_always_dependent():
@@ -439,18 +436,20 @@ def test_lindep_always_dependent():
         space = SpecialLinear(2, p)
         found = 0
         while found < 10:
-            t = space.random_regular_semisimple(rng)
-            if space.split_eigenvalues(t) is None:
+            eigs = space.split_eigenvalues(regular_semisimple(space, rng))
+            if eigs is None:
                 continue
             found += 1
-            dep, _ = lindep_check(space, t)
+            dep, _ = lindep_check(space.field, eigs)
             assert dep is True
 
 
 def test_lindep_rejects_nonsplit_and_irregular():
+    # the eigenvalues come from validating D, before any dependence check
     space = SpecialLinear(2, 7)
+    A = ElementSet.from_matrices(space, [space.identity()])
     J = space.from_rows([[0, 1], [6, 0]])
     with pytest.raises(UnsupportedTorus):
-        lindep_check(space, J)
+        assemble_vital_instance(A, ElementSet.from_matrices(space, [J]), 1)
     with pytest.raises(InvalidWitness):
-        lindep_check(space, space.identity())
+        assemble_vital_instance(A, ElementSet.from_matrices(space, [space.identity()]), 1)
