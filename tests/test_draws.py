@@ -34,15 +34,27 @@ def assert_same_state(stdlib, reader_rng, reader):
 
 @pytest.mark.parametrize("n", BOUNDS)
 def test_randrange_and_randint_match(n):
-    # each pair of calls reads at least two words, so the last run
-    # crosses three chunk refills
-    for seed, pairs in ((0, 300), (1, 300), (2, 3 * CHUNK_WORDS // 2 + 5)):
+    for seed in (0, 1, 2):
         want, got = Random(seed), Random(seed)
         reader = WordReader(got)
-        for _ in range(pairs):
+        for _ in range(300):
             assert reader.randrange(n) == want.randrange(n)
             assert reader.randint(-5, n - 6) == want.randint(-5, n - 6)
         assert_same_state(want, got, reader)
+
+
+@pytest.mark.parametrize("n", BOUNDS)
+def test_randrange_array_matches(n):
+    """A run of randrange calls gives the stdlib's ints, from a single
+    draw to one that crosses three chunk refills (each call reads a word
+    or more), and leaves the generator where the stdlib's calls do."""
+    for seed, count in ((0, 1), (1, 1000), (2, 3 * CHUNK_WORDS + 5)):
+        want, got = Random(seed), Random(seed)
+        with WordReader(got) as reader:
+            values = [reader.randrange(n) for _ in range(count)]
+        assert all(type(v) is int for v in values)
+        assert values == [want.randrange(n) for _ in range(count)]
+        assert got.getstate() == want.getstate()
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 31, 32, 33, 101, 1009, 10007, 65521])
