@@ -54,21 +54,15 @@ from .tracelab import (
     bin_spread,
     distinct_tuple_counts,
     dyadic_bins,
-    f_from_char_poly,
     f_of,
-    lindep_check,
     popular_tuple,
     shift_table,
 )
 # unused here, but perfbench/traced.py looks both names up in this module
 from .tracelab import class_tuple, trace_tuple  # noqa: F401
 from .torus import rich_torus_scan
-from .vandermonde import (
-    cyclic_product_coordinates,
-    elementary_symmetric,
-    generalized_vandermonde_det,
-    verify_vander_identity,
-)
+from .lemmas import (cyclic_nonvanishing_suite, f_identity_suite,
+                     kappa_conjugation_suite, lindep_suite, vander_identity_suite)
 from ._version import __version__
 
 try:
@@ -292,89 +286,6 @@ def _emit_records(cfg: ExperimentConfig, outputs: dict, columns: list,
         head = ",".join(columns) + "\n"
         text = head + "\n".join(rows) + "\n" if rows else head
     _emit(cfg, outputs, text.encode(), path)
-
-
-# ---------------------------------------------------------------------------
-# property suites (also driven by the acceptance tests)
-
-
-def vander_identity_suite(n: int, p: int, trials: int, rng: Random) -> tuple[int, int]:
-    """Random (s, i) checks of the omit-one determinant identity."""
-    fld = PrimeField(p)
-    passes = 0
-    for _ in range(trials):
-        s = tuple(rng.randrange(p) for _ in range(n))
-        i = rng.randrange(n + 1)
-        if verify_vander_identity(fld, s, i):
-            passes += 1
-    return passes, trials
-
-
-def f_identity_suite(n: int, p: int, trials: int, rng: Random) -> tuple[int, int]:
-    """Random (t, g) checks of the shifted-trace recursion.  The
-    charpoly and squarefree test that draw t also give f(t), so each
-    trial computes them, and the powers of t, once."""
-    space = SpecialLinear(n, p)
-    passes = 0
-    for _, (_, full, powers) in zip(range(trials), space.regular_semisimples(rng)):
-        g = space.random_element(rng)
-        fv = f_from_char_poly(space, full)
-        if fv.predicts(space, powers, g):
-            passes += 1
-    return passes, trials
-
-
-def kappa_conjugation_suite(n: int, p: int, trials: int, rng: Random) -> tuple[int, int]:
-    """Random (g, h) checks that the invariant tuple survives conjugation."""
-    space = SpecialLinear(n, p)
-    passes = 0
-    for _ in range(trials):
-        g = space.random_element(rng)
-        h = space.random_element(rng)
-        conj = space.mul(space.mul(h, g), space.inv(h))
-        if space.char_poly(conj) == space.char_poly(g):
-            passes += 1
-    return passes, trials
-
-
-def lindep_suite(n: int, p: int, trials: int, rng: Random) -> tuple[int, int]:
-    """Split regular witnesses: the n+1 forms must be dependent and the
-    omit-one subsets independent exactly when no e_m vanishes."""
-    space = SpecialLinear(n, p)
-    fld = space.field
-    passes = 0
-    # zip asks range first, so the stream draws no block past the last trial
-    for _, (_, eigs) in zip(range(trials), space.split_regulars(rng)):
-        dependent_all, independent_subsets = lindep_check(fld, eigs)
-        expected = all(
-            elementary_symmetric(fld, eigs, m) != 0 for m in range(1, n)
-        )
-        if dependent_all and independent_subsets == expected:
-            passes += 1
-    return passes, trials
-
-
-def cyclic_nonvanishing_suite(n: int, p: int, trials: int,
-                              rng: Random) -> tuple[int, int]:
-    """Sampled vanishing rate of the omit-one determinants built from
-    cyclic window products of product-one coordinate vectors.  Returns
-    (zero determinants seen, determinants evaluated)."""
-    fld = PrimeField(p)
-    failures = 0
-    evals = 0
-    for _ in range(trials):
-        head = [rng.randrange(1, p) for _ in range(n - 1)]
-        prod = 1
-        for v in head:
-            prod = (prod * v) % p
-        r = head + [fld.inv(prod)]
-        for length in range(1, n):
-            q = cyclic_product_coordinates(fld, r, length)
-            for i in range(n + 1):
-                evals += 1
-                if generalized_vandermonde_det(fld, q, i) == 0:
-                    failures += 1
-    return failures, evals
 
 
 # ---------------------------------------------------------------------------

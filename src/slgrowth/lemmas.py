@@ -1,0 +1,92 @@
+"""The lemma-check property suites, also driven by the acceptance tests;
+apart from cli, so that the module every subcommand compiles stays small."""
+
+from __future__ import annotations
+
+from math import prod
+from random import Random
+
+from .field import PrimeField
+from .matrices import SpecialLinear
+from .tracelab import f_from_char_poly, lindep_checks
+from .vandermonde import (cyclic_product_coordinates, elementary_symmetric,
+                          omit_one_dets, vandermonde_product)
+
+SUITE_BLOCK = 32  # rows per omit_one_dets call; at 64, lemma-check's peak RSS rose
+
+
+def vander_identity_suite(n: int, p: int, trials: int, rng: Random) -> tuple[int, int]:
+    """Random (s, i) checks of the omit-one determinant identity: the
+    batched charpoly determinant against the product recurrence."""
+    fld = PrimeField(p)
+    passes = 0
+    for start in range(0, trials, SUITE_BLOCK):
+        draws = [(tuple(rng.randrange(p) for _ in range(n)), rng.randrange(n + 1))
+                 for _ in range(min(SUITE_BLOCK, trials - start))]
+        dets = omit_one_dets([s for s, _ in draws], p).tolist()
+        for (s, i), row in zip(draws, dets):
+            closed = vandermonde_product(fld, s) * elementary_symmetric(fld, s, n - i)
+            if row[i] == closed % p:
+                passes += 1
+    return passes, trials
+
+
+def f_identity_suite(n: int, p: int, trials: int, rng: Random) -> tuple[int, int]:
+    """Random (t, g) checks of the shifted-trace recursion.  The
+    charpoly and squarefree test that draw t also give f(t), so each
+    trial computes them, and the powers of t, once."""
+    space = SpecialLinear(n, p)
+    passes = 0
+    for _, (_, full, powers) in zip(range(trials), space.regular_semisimples(rng)):
+        g = space.random_element(rng)
+        fv = f_from_char_poly(space, full)
+        if fv.predicts(space, powers, g):
+            passes += 1
+    return passes, trials
+
+
+def kappa_conjugation_suite(n: int, p: int, trials: int, rng: Random) -> tuple[int, int]:
+    """Random (g, h) checks that the invariant tuple survives conjugation."""
+    space = SpecialLinear(n, p)
+    passes = 0
+    for _ in range(trials):
+        g = space.random_element(rng)
+        h = space.random_element(rng)
+        conj = space.mul(space.mul(h, g), space.inv(h))
+        if space.char_poly(conj) == space.char_poly(g):
+            passes += 1
+    return passes, trials
+
+
+def lindep_suite(n: int, p: int, trials: int, rng: Random) -> tuple[int, int]:
+    """Split regular witnesses: the n+1 forms must be dependent and the
+    omit-one subsets independent exactly when no e_m vanishes."""
+    space = SpecialLinear(n, p)
+    fld = space.field
+    passes = 0
+    witnesses = space.split_regulars(rng)
+    for start in range(0, trials, SUITE_BLOCK):
+        block = [next(witnesses)[1] for _ in range(min(SUITE_BLOCK, trials - start))]
+        for eigs, (dependent, independent) in zip(block, lindep_checks(fld, block)):
+            expected = all(elementary_symmetric(fld, eigs, m) for m in range(1, n))
+            if dependent and independent == expected:
+                passes += 1
+    return passes, trials
+
+
+def cyclic_nonvanishing_suite(n: int, p: int, trials: int,
+                              rng: Random) -> tuple[int, int]:
+    """Sampled vanishing rate of the omit-one determinants built from
+    cyclic window products of product-one coordinate vectors.  Returns
+    (zero determinants seen, determinants evaluated)."""
+    fld = PrimeField(p)
+    failures = 0
+    block = max(1, SUITE_BLOCK // (n - 1))  # n - 1 windows per trial
+    for start in range(0, trials, block):
+        windows = []
+        for _ in range(min(block, trials - start)):
+            head = [rng.randrange(1, p) for _ in range(n - 1)]
+            r = head + [fld.inv(prod(head) % p)]
+            windows += [cyclic_product_coordinates(fld, r, k) for k in range(1, n)]
+        failures += int((omit_one_dets(windows, p) == 0).sum())
+    return failures, trials * (n - 1) * (n + 1)

@@ -457,9 +457,10 @@ class SpecialLinear:
         values = np.matmul(char_poly_batch(mats, p), powers)
         values %= p
         roots = values == 0
-        counts = roots.sum(axis=1).tolist()
-        return [(tuple(g), np.flatnonzero(roots[j]).tolist()) if counts[j] == n else None
-                for j, g in enumerate(mats.reshape(-1, n * n).tolist())]
+        split = roots.sum(axis=1) == n
+        found = zip(map(tuple, mats.reshape(-1, n * n)[split].tolist()),
+                    (np.flatnonzero(row).tolist() for row in roots[split]))
+        return [next(found) if ok else None for ok in split.tolist()]
 
     def regular_semisimples(self, rng, max_tries: int = 10_000):
         """Endless stream of (g, char_poly_full(g), power_list(g, n)) for

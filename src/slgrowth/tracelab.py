@@ -38,7 +38,7 @@ from .errors import (
 from .field import PrimeField
 from .growth import ElementSet
 from .matrices import Mat, SpecialLinear, char_poly_batch
-from .vandermonde import generalized_vandermonde_det
+from .vandermonde import omit_one_dets
 
 
 def _require_regular(space: SpecialLinear, t: Mat, what: str) -> list[int]:
@@ -361,17 +361,20 @@ def lindep_check(field: PrimeField, eigs: list[int]) -> tuple[bool, bool]:
     are always dependent on the n-dimensional diagonal; every n-subset
     is independent exactly when each omit-one determinant is nonzero.
     """
-    n = len(eigs)
-    rows = []
-    power = [1] * n
-    for _ in range(n + 1):
-        rows.append(list(power))
-        power = [(power[j] * eigs[j]) % field.p for j in range(n)]
-    dependent_all = linalg.rank_mod(rows, field) <= n
-    independent_subsets = all(
-        generalized_vandermonde_det(field, eigs, i) != 0 for i in range(n + 1)
-    )
-    return dependent_all, independent_subsets
+    return lindep_checks(field, [eigs])[0]
+
+
+def lindep_checks(field: PrimeField, block: list) -> list[tuple[bool, bool]]:
+    """lindep_check of every eigenvalue list in block, whose omit-one
+    determinants come from one omit_one_dets call."""
+    p = field.p
+    # counted like _split_block's roots: an .all() here paged in 64 KB more of numpy
+    zeros = (omit_one_dets(block, p) == 0).sum(axis=1).tolist()
+    out = []
+    for eigs, zero_count in zip(block, zeros):
+        rows = [[pow(v, k, p) for v in eigs] for k in range(len(eigs) + 1)]
+        out.append((linalg.rank_mod(rows, field) <= len(eigs), zero_count == 0))
+    return out
 
 
 def fiber_exponent(fiber_size: int, base_size: int) -> float:

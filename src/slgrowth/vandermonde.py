@@ -7,15 +7,18 @@ s_j^0, ..., s_j^n with the power-i column omitted equals
 
     prod_{j<k} (s_k - s_j)  *  e_{n-i}(s),
 
-where e_m is the m-th elementary symmetric polynomial.  Both sides are
-computed by genuinely different routes (exact elimination vs product
-recurrence) so the verifier is a real cross-check.
+where e_m is the m-th elementary symmetric polynomial.  The two sides
+come by genuinely different routes, batched Newton charpolys of whole
+blocks (omit_one_dets) against the product recurrences below, so the
+check is a real one; the tests hold both to exact elimination.
 """
 
 from __future__ import annotations
 
-from . import linalg
+import numpy as np
+
 from .field import PrimeField
+from .matrices import char_poly_batch
 
 
 def elementary_symmetric(field: PrimeField, s, m: int) -> int:
@@ -46,37 +49,26 @@ def vandermonde_product(field: PrimeField, s) -> int:
     return out
 
 
-def power_matrix_rows(field: PrimeField, s, i: int) -> list[list[int]]:
-    """Rows (s_j^k for k in [0..n] \\ {i}), one row per s_j."""
-    n = len(s)
-    if not 0 <= i <= n:
-        raise ValueError(f"omitted power i={i} out of range for n={n}")
-    p = field.p
-    rows = []
-    for v in s:
-        v %= p
-        powers = [1]
-        for _ in range(n):
-            powers.append((powers[-1] * v) % p)
-        del powers[i]
-        rows.append(powers)
-    return rows
+def omit_one_dets(values, p: int) -> np.ndarray:
+    """The omit-power-i determinants of every row s of a (B, n) block
+    of residues, i = 0..n, as a (B, n+1) int64 array.
 
-
-def generalized_vandermonde_det(field: PrimeField, s, i: int) -> int:
-    """Determinant of the omit-power-i matrix, by exact elimination."""
-    return linalg.det_mod(power_matrix_rows(field, s, i), field)
-
-
-def verify_vander_identity(field: PrimeField, s, i: int) -> bool:
-    """Exact equality of the elimination determinant and the closed form
-    vandermonde_product(s) * e_{n-i}(s)."""
-    det = generalized_vandermonde_det(field, s, i)
-    closed = (
-        vandermonde_product(field, s)
-        * elementary_symmetric(field, s, len(s) - i)
-    ) % field.p
-    return det == closed
+    Each determinant is (-1)^n times the constant term of its matrix's
+    charpoly, which char_poly_batch finds for p > n only; smaller p
+    raises ValueError.
+    """
+    s = np.asarray(values, dtype=np.int64) % p
+    count, n = s.shape
+    if p <= n:
+        raise ValueError(f"omit-one determinants need p > n, got p={p}, n={n}")
+    table = np.ones((count, n, n + 1), dtype=np.int64)  # s_j^k mod p
+    for k in range(1, n + 1):
+        table[:, :, k] = table[:, :, k - 1] * s % p
+    mats = np.empty((count, n + 1, n, n), dtype=np.int64)
+    for i in range(n + 1):
+        mats[:, i, :, :i] = table[:, :, :i]
+        mats[:, i, :, i:] = table[:, :, i + 1:]
+    return char_poly_batch(mats, p)[:, :, 0] * (-1) ** n % p
 
 
 def cyclic_product_coordinates(field: PrimeField, r, length: int) -> list[int]:

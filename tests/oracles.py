@@ -4,13 +4,24 @@ Everything here is deliberately written by the dumbest correct method
 available (permutation expansions, literal subset enumeration, nested
 pair counting) so that agreement with the package is evidence, not an
 echo.  Nothing in this file imports package internals beyond the public
-constructors needed to drive it.
+constructors needed to drive it, save one: the omit-one determinants
+are taken by the package's exact elimination (linalg.row_reduce), the
+route the batched charpoly kernel replaced, and the lemma-check suites
+are kept here in their one-trial-at-a-time form on top of them.
 """
 
 import itertools
 from collections import Counter
 
-from slgrowth import SemisimplicityClass
+from slgrowth import (
+    PrimeField,
+    SemisimplicityClass,
+    SpecialLinear,
+    cyclic_product_coordinates,
+    elementary_symmetric,
+    vandermonde_product,
+)
+from slgrowth import linalg
 
 
 # ---------------------------------------------------------------------------
@@ -335,3 +346,100 @@ def split_regular_oracle(space, rng, max_tries=20_000):
         if eigs is not None:
             return g, eigs
     raise ValueError("no split regular element found; field too small?")
+
+
+# ---------------------------------------------------------------------------
+# omit-one determinants by exact elimination, and the per-trial suites
+
+
+def power_matrix_rows(field, s, i):
+    """Rows (s_j^k for k in [0..n] \\ {i}), one row per s_j."""
+    n = len(s)
+    if not 0 <= i <= n:
+        raise ValueError(f"omitted power i={i} out of range for n={n}")
+    p = field.p
+    rows = []
+    for v in s:
+        v %= p
+        powers = [1]
+        for _ in range(n):
+            powers.append((powers[-1] * v) % p)
+        del powers[i]
+        rows.append(powers)
+    return rows
+
+
+def generalized_vandermonde_det(field, s, i):
+    """Determinant of the omit-power-i matrix, by exact elimination."""
+    return linalg.det_mod(power_matrix_rows(field, s, i), field)
+
+
+def verify_vander_identity(field, s, i):
+    """Exact equality of the elimination determinant and the closed form
+    vandermonde_product(s) * e_{n-i}(s)."""
+    det = generalized_vandermonde_det(field, s, i)
+    closed = (
+        vandermonde_product(field, s)
+        * elementary_symmetric(field, s, len(s) - i)
+    ) % field.p
+    return det == closed
+
+
+def lindep_check_by_elimination(field, eigs):
+    """(dependent_all, independent_subsets) of tracelab.lindep_check, one
+    rank and n+1 eliminations per witness."""
+    n = len(eigs)
+    p = field.p
+    rows = [[pow(v, k, p) for v in eigs] for k in range(n + 1)]
+    dependent_all = matrix_rank_oracle(rows, p) <= n
+    independent_subsets = all(
+        generalized_vandermonde_det(field, eigs, i) != 0 for i in range(n + 1)
+    )
+    return dependent_all, independent_subsets
+
+
+def vander_identity_suite_by_trial(n, p, trials, rng):
+    """lemmas.vander_identity_suite, one elimination per trial."""
+    fld = PrimeField(p)
+    passes = 0
+    for _ in range(trials):
+        s = tuple(rng.randrange(p) for _ in range(n))
+        i = rng.randrange(n + 1)
+        if verify_vander_identity(fld, s, i):
+            passes += 1
+    return passes, trials
+
+
+def lindep_suite_by_trial(n, p, trials, rng):
+    """lemmas.lindep_suite, one witness at a time."""
+    space = SpecialLinear(n, p)
+    fld = space.field
+    passes = 0
+    for _, (_, eigs) in zip(range(trials), space.split_regulars(rng)):
+        dependent_all, independent_subsets = lindep_check_by_elimination(fld, eigs)
+        expected = all(
+            elementary_symmetric(fld, eigs, m) != 0 for m in range(1, n)
+        )
+        if dependent_all and independent_subsets == expected:
+            passes += 1
+    return passes, trials
+
+
+def cyclic_nonvanishing_suite_by_trial(n, p, trials, rng):
+    """lemmas.cyclic_nonvanishing_suite, one elimination per determinant."""
+    fld = PrimeField(p)
+    failures = 0
+    evals = 0
+    for _ in range(trials):
+        head = [rng.randrange(1, p) for _ in range(n - 1)]
+        prod = 1
+        for v in head:
+            prod = (prod * v) % p
+        r = head + [fld.inv(prod)]
+        for length in range(1, n):
+            q = cyclic_product_coordinates(fld, r, length)
+            for i in range(n + 1):
+                evals += 1
+                if generalized_vandermonde_det(fld, q, i) == 0:
+                    failures += 1
+    return failures, evals

@@ -288,11 +288,13 @@ def test_closure_deadline_trip_matches(monkeypatch):
 
 def test_path_choice_by_key_space_against_element_count():
     sl2_37 = SpecialLinear(2, 37)
-    sl3_7 = SpecialLinear(3, 7)
     # closing SL_2(F_37): a 234 KB bitmap for 50,616 elements
     assert growth._expander(sl2_37, sl2_37.order()) is _KeyedExpander
     # a radius-3 ball of two generators: at most 125 elements
     assert growth._expander(sl2_37, 125) is _TupleExpander
-    # 7^9 keys would be a 5 MB bitmap, whatever the element count
-    assert growth._expander(sl3_7, 3933) is _TupleExpander
-    assert growth._expander(sl3_7, sl3_7.order()) is _TupleExpander
+    # the first group, in order of key space, whose p^(n^2) keys exceed
+    # the cap takes the tuple path even to close the whole group
+    wide = next(SpecialLinear(n, p)
+                for n, p in ((2, 37), (3, 7), (3, 11), (3, 13), (3, 17))
+                if p ** (n * n) > growth.KEYED_MAX_KEYS)
+    assert growth._expander(wide, wide.order()) is _TupleExpander

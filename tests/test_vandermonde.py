@@ -1,6 +1,7 @@
 """Elementary symmetric values, omit-one Vandermonde determinants, and the
 cyclic window products feeding the nonvanishing checks."""
 
+import itertools
 from random import Random
 
 import pytest
@@ -10,13 +11,37 @@ from slgrowth import (
     SpecialLinear,
     cyclic_product_coordinates,
     elementary_symmetric,
-    generalized_vandermonde_det,
+    omit_one_dets,
     vandermonde_product,
+)
+from slgrowth.lemmas import (
+    SUITE_BLOCK,
+    cyclic_nonvanishing_suite,
+    lindep_suite,
+    vander_identity_suite,
+)
+from slgrowth.tracelab import lindep_checks
+
+from oracles import (
+    cyclic_nonvanishing_suite_by_trial,
+    elementary_symmetric_bruteforce,
+    generalized_vandermonde_det,
+    lindep_check_by_elimination,
+    lindep_suite_by_trial,
+    vander_identity_suite_by_trial,
     verify_vander_identity,
 )
-from slgrowth.cli import cyclic_nonvanishing_suite
 
-from oracles import elementary_symmetric_bruteforce
+
+def closed_form(fld, s, i):
+    """prod_{j<k} (s_k - s_j) * e_{n-i}(s) mod p."""
+    return vandermonde_product(fld, s) * elementary_symmetric(fld, s, len(s) - i) % fld.p
+
+
+def elimination_dets(fld, block):
+    """Every omit-one determinant of every row, by exact elimination."""
+    return [[generalized_vandermonde_det(fld, s, i) for i in range(len(s) + 1)]
+            for s in block]
 
 
 # ---------------------------------------------------------------------------
@@ -84,39 +109,47 @@ def test_gvdet_frozen_omit_middle():
     f7 = PrimeField(7)
     # rows (1, s, s^2) with the power-1 column dropped: [[1,4],[1,2]]
     assert generalized_vandermonde_det(f7, (2, 3), 1) == 5
+    assert omit_one_dets([(2, 3)], 7).tolist() == [[6, 5, 1]]
 
 
 def test_gvdet_repeated_entry_vanishes():
     f7 = PrimeField(7)
     for i in range(4):
         assert generalized_vandermonde_det(f7, (2, 2, 5), i) == 0
+    assert omit_one_dets([(2, 2, 5)], 7).tolist() == [[0, 0, 0, 0]]
 
 
 def test_gvdet_classical_case():
     f11 = PrimeField(11)
     s = (2, 5, 7)
     assert generalized_vandermonde_det(f11, s, 3) == vandermonde_product(f11, s)
+    assert omit_one_dets([s], 11)[0, 3] == vandermonde_product(f11, s)
 
 
 def test_identity_frozen_small():
     f7 = PrimeField(7)
+    dets = omit_one_dets([(2, 3)], 7)[0]
     for i in (0, 1, 2):
         assert verify_vander_identity(f7, (2, 3), i)
+        assert dets[i] == closed_form(f7, (2, 3), i)
 
 
 def test_identity_random_quadruples():
     rng = Random(2)
     f101 = PrimeField(101)
-    for _ in range(200):
-        s = tuple(rng.sample(range(101), 4))
-        for i in range(5):
-            assert verify_vander_identity(f101, s, i)
+    block = [tuple(rng.sample(range(101), 4)) for _ in range(200)]
+    dets = omit_one_dets(block, 101).tolist()
+    for s, row in zip(block, dets):
+        assert row == [closed_form(f101, s, i) for i in range(5)]
+        assert verify_vander_identity(f101, s, 2)
 
 
 def test_identity_with_repeats_is_trivially_true():
     f7 = PrimeField(7)
     for i in range(4):
         assert verify_vander_identity(f7, (3, 3, 6), i)
+        assert closed_form(f7, (3, 3, 6), i) == 0
+    assert omit_one_dets([(3, 3, 6)], 7).tolist() == [[0, 0, 0, 0]]
 
 
 def test_identity_fuzz_all_small_fields():
@@ -124,10 +157,102 @@ def test_identity_fuzz_all_small_fields():
     for p in (7, 31):
         fld = PrimeField(p)
         for n in (2, 3, 5, 6):
-            for _ in range(50):
-                s = tuple(rng.randrange(p) for _ in range(n))
+            block = [tuple(rng.randrange(p) for _ in range(n)) for _ in range(50)]
+            for s, row in zip(block, omit_one_dets(block, p).tolist()):
                 i = rng.randrange(n + 1)
                 assert verify_vander_identity(fld, s, i)
+                assert row == [closed_form(fld, s, k) for k in range(n + 1)]
+
+
+# ---------------------------------------------------------------------------
+# the batched kernel against exact elimination
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_omit_one_dets_exhaustive_f7(n):
+    f7 = PrimeField(7)
+    block = list(itertools.product(range(7), repeat=n))
+    got = omit_one_dets(block, 7)
+    assert got.shape == (7**n, n + 1)
+    assert got.dtype.name == "int64"
+    assert got.tolist() == elimination_dets(f7, block)
+
+
+@pytest.mark.parametrize("p", [7, 101, 65521])
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_omit_one_dets_seeded_blocks(n, p):
+    # 65521 is the largest p for which char_poly_batch stays inside int64
+    fld = PrimeField(p)
+    rng = Random(n * 1000 + p)
+    for rows in (1, 17, SUITE_BLOCK):
+        block = [tuple(rng.randrange(p) for _ in range(n)) for _ in range(rows)]
+        assert omit_one_dets(block, p).tolist() == elimination_dets(fld, block)
+
+
+def test_omit_one_dets_repeated_and_zero_entries():
+    for p in (7, 101, 65521):
+        fld = PrimeField(p)
+        block = [(0, 0, 3), (0, 1, 2), (5, 5, 5), (0, 4, 4), (p - 1, 1, 0)]
+        got = omit_one_dets(block, p).tolist()
+        assert got == elimination_dets(fld, block)
+        for s, row in zip(block, got):
+            if len(set(s)) < len(s):
+                assert row == [0] * (len(s) + 1)
+        # a zero entry kills e_n, so omitting the power 0 gives 0
+        assert got[1][0] == 0 and got[4][0] == 0
+        quads = [(0, 0, 0, 0), (0, 1, p - 1, 2), (3, 3, 0, 1), (1, 2, 3, 4)]
+        assert omit_one_dets(quads, p).tolist() == elimination_dets(fld, quads)
+
+
+@pytest.mark.parametrize("n,p", [(5, 5), (4, 3), (6, 5), (3, 3)])
+def test_omit_one_dets_needs_p_above_n(n, p):
+    with pytest.raises(ValueError):
+        omit_one_dets([tuple(range(1, n + 1))], p)
+
+
+# ---------------------------------------------------------------------------
+# batched suites against their one-trial-at-a-time forms
+
+TRIAL_COUNTS = sorted({1, SUITE_BLOCK - 1, SUITE_BLOCK, SUITE_BLOCK + 1, 63, 64, 65, 130})
+
+
+@pytest.mark.parametrize("trials", TRIAL_COUNTS)
+def test_vander_suite_matches_per_trial(trials):
+    for n, p in ((2, 7), (3, 11), (4, 101), (6, 7)):
+        batched, by_trial = Random(trials + n), Random(trials + n)
+        assert vander_identity_suite(n, p, trials, batched) == \
+            vander_identity_suite_by_trial(n, p, trials, by_trial) == (trials, trials)
+        assert batched.getstate() == by_trial.getstate()
+
+
+@pytest.mark.parametrize("trials", TRIAL_COUNTS)
+def test_cyclic_suite_matches_per_trial(trials):
+    for n, p in ((2, 5), (3, 7), (4, 101), (5, 11)):
+        batched, by_trial = Random(trials + n), Random(trials + n)
+        got = cyclic_nonvanishing_suite(n, p, trials, batched)
+        assert got == cyclic_nonvanishing_suite_by_trial(n, p, trials, by_trial)
+        assert got[1] == trials * (n - 1) * (n + 1)
+        assert batched.getstate() == by_trial.getstate()
+
+
+@pytest.mark.parametrize("trials", TRIAL_COUNTS)
+def test_lindep_suite_matches_per_trial(trials):
+    # at (2, 5) every split witness has eigenvalues {2, 3} and e_1 = 0
+    for n, p in ((2, 5), (3, 7), (4, 101)):
+        assert lindep_suite(n, p, trials, Random(trials + n)) == \
+            lindep_suite_by_trial(n, p, trials, Random(trials + n))
+
+
+def test_lindep_checks_match_elimination():
+    outcomes = set()
+    for n, p in ((2, 5), (2, 7), (3, 7), (4, 11), (4, 101)):
+        space = SpecialLinear(n, p)
+        stream = space.split_regulars(Random(n * p))
+        block = [eigs for _, (_, eigs) in zip(range(2 * SUITE_BLOCK), stream)]
+        want = [lindep_check_by_elimination(space.field, eigs) for eigs in block]
+        assert lindep_checks(space.field, block) == want
+        outcomes.update(want)
+    assert outcomes == {(True, True), (True, False)}
 
 
 # ---------------------------------------------------------------------------
