@@ -25,7 +25,7 @@ from .tracelab import (
     dyadic_bins,
     f_of,
     fiber_exponent,
-    lindep_check,
+    lindep_checks,
     popular_tuple,
     shift_table,
 )
@@ -39,10 +39,6 @@ class ScalarSet:
 
     field: PrimeField
     elements: frozenset
-
-    @classmethod
-    def from_iterable(cls, field: PrimeField, values) -> "ScalarSet":
-        return cls(field, frozenset(v % field.p for v in values))
 
     def __len__(self):
         return len(self.elements)
@@ -59,18 +55,7 @@ class VectorSet:
     """A set of fixed-dimension coordinate tuples over one prime field."""
 
     field: PrimeField
-    dim: int
     elements: frozenset
-
-    @classmethod
-    def from_iterable(cls, field: PrimeField, dim: int, vectors) -> "VectorSet":
-        elems = set()
-        for vec in vectors:
-            tup = tuple(v % field.p for v in vec)
-            if len(tup) != dim:
-                raise ValueError(f"expected {dim} coordinates, got {len(tup)}")
-            elems.add(tup)
-        return cls(field, dim, frozenset(elems))
 
     def __len__(self):
         return len(self.elements)
@@ -86,7 +71,7 @@ class FiberFamily:
     """Map y-vector -> set of x-tuples, every tuple certified to satisfy
     the containment y . x in X with all coordinates in X."""
 
-    def __init__(self, x_set: ScalarSet, dim: int, assignments: dict):
+    def __init__(self, x_set: ScalarSet, assignments: dict):
         p = x_set.field.p
         for y, tuples in assignments.items():
             for x in tuples:
@@ -98,7 +83,6 @@ class FiberFamily:
                 if any(xc not in x_set.elements for xc in x):
                     raise ValueError(f"fiber tuple {x} leaves X")
         self.x_set = x_set
-        self.dim = dim
         self.assignments = {y: frozenset(tuples) for y, tuples in assignments.items()}
         self.excluded_witnesses: tuple = ()
 
@@ -171,8 +155,7 @@ def assemble_vital_instance(A: ElementSet, D: ElementSet, pool_radius: int,
     kept: list[Mat] = []
     excluded: list[Mat] = []
     for t in D.sorted_members():
-        _, independent = lindep_check(field, eigenvalues[t])
-        if independent:
+        if lindep_checks(field, [eigenvalues[t]])[0]:
             kept.append(t)
         else:
             excluded.append(t)
@@ -195,8 +178,8 @@ def assemble_vital_instance(A: ElementSet, D: ElementSet, pool_radius: int,
             tuples.add(tuple(shifted_traces[:n]))
 
     X = ScalarSet(field, frozenset(x_values))
-    Y = VectorSet(field, n, frozenset(assignments))
-    fibers = FiberFamily(X, n, assignments)
+    Y = VectorSet(field, frozenset(assignments))
+    fibers = FiberFamily(X, assignments)
     fibers.excluded_witnesses = tuple(excluded)
     return VitalInstance(X=X, Y=Y, fibers=fibers)
 

@@ -1,8 +1,8 @@
 """Small dense exact linear algebra over Z/pZ (internal).
 
 Matrices here are lists of row lists.  One routine, row_reduce, does
-every Gaussian elimination in the package: determinants, ranks and
-kernel vectors here, and the inverse and the minimal polynomial in
+every Gaussian elimination in the package: determinants and kernel
+vectors here, and the inverse and the minimal polynomial in
 SpecialLinear.  Sizes stay tiny (n <= a few dozen), so clarity beats
 asymptotics.
 """
@@ -73,10 +73,6 @@ def row_reduce(rows, field: PrimeField, width: int | None = None,
 def det_mod(rows: list[list[int]], field: PrimeField) -> int:
     """Determinant of a square matrix."""
     return row_reduce(rows, field)[2]
-
-
-def rank_mod(rows: list[list[int]], field: PrimeField) -> int:
-    return len(row_reduce(rows, field)[1])
 
 
 def nullspace_vector(rows, field: PrimeField) -> list[int] | None:

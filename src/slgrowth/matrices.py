@@ -24,6 +24,9 @@ Mat = tuple  # flat row-major tuple of ints, length n*n
 # SPLIT_SCAN_ENTRIES entries
 SPLIT_BLOCK = 64
 SPLIT_SCAN_ENTRIES = 1 << 20
+# rejected candidates in a row after which the samplers give up
+SPLIT_MAX_TRIES = 20_000
+REGULAR_MAX_TRIES = 10_000
 
 
 class SemisimplicityClass(enum.Enum):
@@ -413,7 +416,7 @@ class SpecialLinear:
             entries[i * n + n - 1] = (entries[i * n + n - 1] * di) % p
         return tuple(entries)
 
-    def split_regulars(self, rng, max_tries: int = 20_000):
+    def split_regulars(self, rng):
         """Endless stream of (g, eigenvalues sorted ascending) for split
         regular semisimple g: the elements that repeated
         random_element(rng) calls filtered by split_eigenvalues yield.
@@ -421,7 +424,7 @@ class SpecialLinear:
         Candidates are drawn with the same rng.randrange(p) calls and
         classified in numpy blocks, so the stream draws ahead of what it
         yields: give it a generator that nothing else reads.  Raises
-        ValueError after max_tries candidates in a row are rejected.
+        ValueError after SPLIT_MAX_TRIES candidates in a row are rejected.
         """
         n, p = self.n, self.p
         block = min(SPLIT_BLOCK, SPLIT_SCAN_ENTRIES // p)
@@ -437,7 +440,7 @@ class SpecialLinear:
                     yield found
                     continue
                 misses += 1
-                if misses == max_tries:
+                if misses == SPLIT_MAX_TRIES:
                     # SL_2(F_3), for one, has no split regular element
                     raise ValueError("no split regular element found; field too small?")
 
@@ -462,14 +465,14 @@ class SpecialLinear:
                     (np.flatnonzero(row).tolist() for row in roots[split]))
         return [next(found) if ok else None for ok in split.tolist()]
 
-    def regular_semisimples(self, rng, max_tries: int = 10_000):
+    def regular_semisimples(self, rng):
         """Endless stream of (g, char_poly_full(g), power_list(g, n)) for
         regular semisimple g, drawn by repeated random_element(rng)
         calls; at n >= 4 the charpoly is read from those powers, so they
         are built once.  It draws one candidate at a time and nothing
         ahead of what it yields, so the caller may draw from rng between
-        items.  Raises RuntimeError after max_tries candidates in a row
-        are rejected.
+        items.  Raises RuntimeError after REGULAR_MAX_TRIES candidates in
+        a row are rejected.
         """
         n = self.n
         misses = 0
@@ -482,5 +485,5 @@ class SpecialLinear:
                 yield g, full, powers or self.power_list(g, n)
                 continue
             misses += 1
-            if misses == max_tries:
+            if misses == REGULAR_MAX_TRIES:
                 raise RuntimeError("no regular semisimple element found; tiny field?")

@@ -27,7 +27,7 @@ from math import factorial, log
 
 import numpy as np
 
-from . import linalg, polys
+from . import polys
 from .errors import (
     FiberBoundViolation,
     InvalidWitness,
@@ -286,14 +286,9 @@ def popular_tuple(bins: list[WealthBin]) -> WealthBin:
     return min(bins, key=lambda b: (-len(b.members), b.jvec))
 
 
-def bin_spread(bins: list[WealthBin], threshold: int = 1) -> int:
-    """max_i j_i - min_i j_i, maximized over bins with at least
-    `threshold` members; 0 when no bin qualifies."""
-    spread = 0
-    for b in bins:
-        if len(b.members) >= threshold:
-            spread = max(spread, max(b.jvec) - min(b.jvec))
-    return spread
+def bin_spread(bins: list[WealthBin]) -> int:
+    """max_i j_i - min_i j_i, maximized over the bins; 0 for no bins."""
+    return max((max(b.jvec) - min(b.jvec) for b in bins), default=0)
 
 
 @dataclass(frozen=True)
@@ -352,29 +347,18 @@ def fiber_bound_check(S: ElementSet) -> tuple[int, Fraction]:
     return len(image), bound
 
 
-def lindep_check(field: PrimeField, eigs: list[int]) -> tuple[bool, bool]:
-    """Linear (in)dependence of the forms g -> tr(t^i g), i = 0..n, in
-    eigenvalue coordinates of a split regular witness t, given the n
-    distinct eigenvalues of t (as split_eigenvalues returns them).
-
-    Returns (dependent_all, independent_subsets): the full n+1 forms
-    are always dependent on the n-dimensional diagonal; every n-subset
-    is independent exactly when each omit-one determinant is nonzero.
-    """
-    return lindep_checks(field, [eigs])[0]
-
-
-def lindep_checks(field: PrimeField, block: list) -> list[tuple[bool, bool]]:
-    """lindep_check of every eigenvalue list in block, whose omit-one
-    determinants come from one omit_one_dets call."""
-    p = field.p
+def lindep_checks(field: PrimeField, block: list) -> list[bool]:
+    """For each list of the n distinct eigenvalues s of a split regular
+    witness t (as split_eigenvalues returns them) in block: whether every
+    n of the n+1 forms g -> tr(t^i g), i = 0..n, are independent, in
+    eigenvalue coordinates.  That holds exactly when each omit-one
+    determinant V(s) e_{n-i}(s) is nonzero; all n+1 forms together are
+    always dependent, being n+1 forms on the n-dimensional diagonal, so
+    there is nothing to check there.  One omit_one_dets call serves the
+    whole block."""
     # counted like _split_block's roots: an .all() here paged in 64 KB more of numpy
-    zeros = (omit_one_dets(block, p) == 0).sum(axis=1).tolist()
-    out = []
-    for eigs, zero_count in zip(block, zeros):
-        rows = [[pow(v, k, p) for v in eigs] for k in range(len(eigs) + 1)]
-        out.append((linalg.rank_mod(rows, field) <= len(eigs), zero_count == 0))
-    return out
+    zeros = (omit_one_dets(block, field.p) == 0).sum(axis=1).tolist()
+    return [zero_count == 0 for zero_count in zeros]
 
 
 def fiber_exponent(fiber_size: int, base_size: int) -> float:

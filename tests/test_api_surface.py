@@ -5,8 +5,9 @@ as a name it loads or as an attribute; a method, other than a dunder,
 must be named as an attribute.  The check goes by name alone, so two
 methods called alike count for each other: it catches a definition
 that nothing in the package names at all.  An attribute named like a
-method of str, bytes, list, dict, set, tuple or int counts for nothing,
-since `data.decode()` is as likely bytes.decode.  The few definitions
+method of str, bytes, list, dict, set, frozenset, tuple, int or
+itertools.chain counts for nothing, since `data.decode()` is as likely
+bytes.decode and `chain.from_iterable` is itertools'.  The few definitions
 kept for callers outside src/, and those whose names builtins share,
 are listed in KEPT with the reason.  The repository has no linter, so
 this is what keeps unreached code from piling up again.
@@ -14,6 +15,7 @@ this is what keeps unreached code from piling up again.
 
 import ast
 from collections import Counter
+from itertools import chain
 from pathlib import Path
 
 import slgrowth
@@ -57,7 +59,7 @@ def definitions(trees):
 # evidence that the package calls its own method of that name
 BUILTIN_METHODS = {
     name
-    for kind in (str, bytes, list, dict, set, tuple, int)
+    for kind in (str, bytes, list, dict, set, frozenset, tuple, int, chain)
     for name in dir(kind)
     if not name.startswith("__")
 }

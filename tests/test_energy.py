@@ -36,7 +36,7 @@ from oracles import (
 
 
 def scalar(p, values):
-    return ScalarSet.from_iterable(PrimeField(p), values)
+    return ScalarSet(PrimeField(p), frozenset(v % p for v in values))
 
 
 # ---------------------------------------------------------------------------
@@ -203,29 +203,27 @@ def test_dilate_is_bijection_for_units():
 # containers
 
 
-def test_scalar_set_reduces_residues():
-    X = ScalarSet.from_iterable(PrimeField(7), [8, 15, -1])
-    assert X.elements == frozenset([1, 6])
+def test_scalar_set_sorted_elements():
+    X = ScalarSet(PrimeField(7), frozenset([6, 1]))
+    assert len(X) == 2 and set(X) == {1, 6}
     assert X.sorted_elements() == [1, 6]
 
 
-def test_vector_set_validation():
-    F = PrimeField(7)
-    V = VectorSet.from_iterable(F, 2, [(8, 1), (1, 8)])
-    assert V.elements == frozenset([(1, 1)])
-    with pytest.raises(ValueError):
-        VectorSet.from_iterable(F, 2, [(1, 2, 3)])
+def test_vector_set_sorted_elements():
+    V = VectorSet(PrimeField(7), frozenset([(1, 1), (0, 3)]))
+    assert len(V) == 2 and set(V) == {(0, 3), (1, 1)}
+    assert V.sorted_elements() == [(0, 3), (1, 1)]
 
 
 def test_fiber_family_certificate():
     X = scalar(7, [1, 2, 3, 6])
-    good = FiberFamily(X, 2, {(1, 1): {(1, 2), (3, 3)}})  # dots 3 and 6
+    good = FiberFamily(X, {(1, 1): {(1, 2), (3, 3)}})  # dots 3 and 6
     assert good.fiber((1, 1)) == frozenset([(1, 2), (3, 3)])
     assert good.fiber((5, 5)) == frozenset()
     with pytest.raises(ValueError):
-        FiberFamily(X, 2, {(1, 1): {(1, 3)}})  # dot = 4 not in X
+        FiberFamily(X, {(1, 1): {(1, 3)}})  # dot = 4 not in X
     with pytest.raises(ValueError):
-        FiberFamily(X, 2, {(1, 1): {(5, 4)}})  # dot = 2 in X, coord 5 not
+        FiberFamily(X, {(1, 1): {(5, 4)}})  # dot = 2 in X, coord 5 not
 
 
 # ---------------------------------------------------------------------------
@@ -257,7 +255,7 @@ def test_assemble_sl2_f11_frozen():
     for y in inst.Y:
         assert len(inst.fibers.fiber(y)) == 21
     # re-validating the stored assignments exercises the certificate
-    FiberFamily(inst.X, 2, {y: set(inst.fibers.fiber(y)) for y in inst.Y})
+    FiberFamily(inst.X, {y: set(inst.fibers.fiber(y)) for y in inst.Y})
 
 
 def test_assemble_requires_split_witnesses():
@@ -323,8 +321,8 @@ def test_vital_diagnostics_frozen_instance():
 
 def test_vital_diagnostics_degenerate_and_empty_fibers():
     X = scalar(11, [0])
-    Y = VectorSet.from_iterable(PrimeField(11), 2, [(0, 1), (2, 3)])
-    fibers = FiberFamily(X, 2, {(0, 1): {(0, 0)}})
+    Y = VectorSet(PrimeField(11), frozenset([(0, 1), (2, 3)]))
+    fibers = FiberFamily(X, {(0, 1): {(0, 0)}})
     report = vital_diagnostics(X, Y, fibers, Fraction(1, 2))
     assert report.degenerate is True
     assert report.x_meets_threshold is True  # 1 <= 11**(1/2)

@@ -188,16 +188,6 @@ def test_det_mod_matches_permutation_expansion():
                 assert linalg.det_mod(rows, fld) == _perm_det(rows, p)
 
 
-def test_rank_mod_matches_oracle():
-    rng = Random(6)
-    fld = PrimeField(7)
-    for _ in range(150):
-        nrows = rng.randint(1, 4)
-        ncols = rng.randint(1, 4)
-        rows = [[rng.randrange(7) for _ in range(ncols)] for _ in range(nrows)]
-        assert linalg.rank_mod(rows, fld) == matrix_rank_oracle(rows, 7)
-
-
 def test_nullspace_vector_annihilates():
     fld = PrimeField(11)
     rng = Random(7)

@@ -243,16 +243,35 @@ def test_lindep_suite_matches_per_trial(trials):
             lindep_suite_by_trial(n, p, trials, Random(trials + n))
 
 
+def zero_entry_rows(fld, n, rng, count):
+    """Rows (0, s_1, ..., s_{n-1}) of distinct entries with e_1, ...,
+    e_{n-1} nonzero: the 0 kills e_n alone, so of the omit-one
+    determinants only the omit-power-0 one, V(s) e_n(s), vanishes.
+    Split eigenvalues are units, so the witness stream never has one."""
+    rows = []
+    while len(rows) < count:
+        s = [0] + rng.sample(range(1, fld.p), n - 1)
+        if all(elementary_symmetric(fld, s, m) for m in range(1, n)):
+            rows.append(s)
+    return rows
+
+
 def test_lindep_checks_match_elimination():
     outcomes = set()
     for n, p in ((2, 5), (2, 7), (3, 7), (4, 11), (4, 101)):
         space = SpecialLinear(n, p)
         stream = space.split_regulars(Random(n * p))
         block = [eigs for _, (_, eigs) in zip(range(2 * SUITE_BLOCK), stream)]
+        zeros = zero_entry_rows(space.field, n, Random(n + p), 4)
+        vanishing = (omit_one_dets(zeros, p) == 0).tolist()
+        assert vanishing == [[True] + [False] * n] * len(zeros)
+        repeated = [[s[1]] + s[1:] for s in zeros]  # V(s) = 0: every determinant
+        block += zeros + repeated
         want = [lindep_check_by_elimination(space.field, eigs) for eigs in block]
         assert lindep_checks(space.field, block) == want
+        assert want[-2 * len(zeros):] == [False] * (2 * len(zeros))
         outcomes.update(want)
-    assert outcomes == {(True, True), (True, False)}
+    assert outcomes == {True, False}
 
 
 # ---------------------------------------------------------------------------
