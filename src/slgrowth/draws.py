@@ -3,16 +3,24 @@
 For 0 < n < 2^32, random.Random._randbelow(n) takes the top
 n.bit_length() bits of one 32-bit Mersenne-Twister word per try and
 rejects values >= n, and getrandbits(32*m) returns the next m words,
-the first in the lowest bits.  WordReader reads the words in chunks and
-filters them the same way, so it returns what randrange, randint and
-sample(range(n), k) would, value for value, at a fraction of the cost.
-close() leaves the generator where those calls would have left it.
+the first in the lowest bits.  Two readers apply that rule in bulk:
+
+- WordReader reads the words in numpy chunks and returns what
+  randrange, randint and sample(range(n), k) would, value for value;
+  close() leaves the generator where those calls would have left it.
+- randrange_runs yields what consecutive randrange(n) calls return, in
+  lists of a fixed length.  It filters the words without numpy, because
+  the ufunc code a numpy filter loads costs the split sampler, its one
+  caller, more peak memory than the filter saves.  It reads ahead and
+  never rewinds.
 """
 
 from __future__ import annotations
 
+import struct
 from math import ceil, log
 from random import Random
+from typing import Iterator
 
 import numpy as np
 
@@ -98,6 +106,35 @@ class WordReader:
                     self._pos += int(kept[accepted.index(out[-1])]) + 1
                 return out
             self._pos += len(values)
+
+
+def randrange_runs(rng: Random, n: int, size: int) -> Iterator[list[int]]:
+    """Endless stream of lists of `size` ints: what consecutive
+    rng.randrange(n) calls return, in order.
+
+    Each refill reads about the words the missing values need, in one
+    getrandbits call, and carries what a list does not take into the
+    next.  For n < 256 every value is the top byte of its word shifted
+    right, so one bytes.translate maps those bytes to values and drops
+    the rejected ones; wider n shift and filter each word in a list
+    comprehension.  It reads ahead of what it yields, so give it a
+    generator that nothing else reads.
+    """
+    shift = _shift(n)
+    if shift >= 24:  # n < 256
+        value = bytes(b >> (shift - 24) for b in range(256))
+        rejected = bytes(b for b in range(256) if value[b] >= n)
+    held: list[int] = []
+    while True:
+        while len(held) < size:
+            m = ((size - len(held)) << (32 - shift)) // n + 1
+            data = rng.getrandbits(32 * m).to_bytes(4 * m, "little")
+            if shift >= 24:
+                held += data[3::4].translate(value, rejected)
+            else:
+                held += [v for w in struct.unpack(f"<{m}I", data) if (v := w >> shift) < n]
+        yield held[:size]
+        del held[:size]
 
 
 def _shift(n: int) -> int:

@@ -82,7 +82,6 @@ class FiberFamily:
                     )
                 if any(xc not in x_set.elements for xc in x):
                     raise ValueError(f"fiber tuple {x} leaves X")
-        self.x_set = x_set
         self.assignments = {y: frozenset(tuples) for y, tuples in assignments.items()}
         self.excluded_witnesses: tuple = ()
 

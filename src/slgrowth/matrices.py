@@ -421,19 +421,23 @@ class SpecialLinear:
         regular semisimple g: the elements that repeated
         random_element(rng) calls filtered by split_eigenvalues yield.
 
-        Candidates are drawn with the same rng.randrange(p) calls and
-        classified in numpy blocks, so the stream draws ahead of what it
-        yields: give it a generator that nothing else reads.  Raises
-        ValueError after SPLIT_MAX_TRIES candidates in a row are rejected.
+        Each block's entries are the values of consecutive
+        rng.randrange(p) calls, read from whole generator words by
+        draws.randrange_runs, and its candidates are classified in numpy.
+        The stream draws ahead of what it yields: give it a generator
+        that nothing else reads.  Raises ValueError after SPLIT_MAX_TRIES
+        candidates in a row are rejected.
         """
+        # imported here, so that only the runs that sample load it
+        from .draws import randrange_runs
+
         n, p = self.n, self.p
         block = min(SPLIT_BLOCK, SPLIT_SCAN_ENTRIES // p)
         powers = np.ones((n + 1, p), dtype=np.int64)  # x^k mod p, every x
         for k in range(1, n + 1):
             powers[k] = powers[k - 1] * np.arange(p) % p
         misses = 0
-        while True:
-            draws = [rng.randrange(p) for _ in range(block * n * n)]
+        for draws in randrange_runs(rng, p, block * n * n):
             for found in self._split_block(draws, powers):
                 if found is not None:
                     misses = 0

@@ -1,11 +1,12 @@
-"""WordReader against the stdlib calls it stands in for.
+"""WordReader and randrange_runs against the stdlib calls they stand in for.
 
 Each test draws from two generators seeded alike, one through the
-stdlib's own randrange/randint/sample and one through a WordReader, and
-compares every value and, after close, the generator states.  The
-reader re-implements CPython's algorithm (top bits of one 32-bit word
-per try, sample's setsize rule between its pool and set branches), so a
-change to that algorithm in a later Python shows up here first.
+stdlib's own randrange/randint/sample and one through a bulk reader, and
+compares every value and, for WordReader after close, the generator
+states.  The readers re-implement CPython's algorithm (top bits of one
+32-bit word per try, sample's setsize rule between its pool and set
+branches), so a change to that algorithm in a later Python shows up
+here first.
 """
 
 import itertools
@@ -15,7 +16,7 @@ from random import Random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from slgrowth.draws import CHUNK_WORDS, WordReader
+from slgrowth.draws import CHUNK_WORDS, WordReader, randrange_runs
 
 # 1..3, both sides of powers of two (all rejection rates), desk primes
 BOUNDS = [1, 2, 3, 7, 8, 9, 127, 128, 129, 255, 256, 257, 10007, 65521,
@@ -55,6 +56,29 @@ def test_randrange_array_matches(n):
         assert all(type(v) is int for v in values)
         assert values == [want.randrange(n) for _ in range(count)]
         assert got.getstate() == want.getstate()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 101, 128, 129, 255, 256, 257, 65521,
+                               (1 << 31) - 1, (1 << 32) - 1])
+def test_randrange_runs_match(n):
+    """Every list, whatever its length, holds the next values of
+    repeated randrange(n) calls: lists of one value refill on almost
+    every call, and the longer ones carry leftovers across many
+    getrandbits refills.  n <= 255 takes the top-byte path, n >= 256
+    the word path."""
+    for seed, size, lists in ((0, 1, 50), (1, 7, 40), (2, 1024, 12), (3, 5000, 3)):
+        want = Random(seed)
+        runs = randrange_runs(Random(seed), n, size)
+        for _ in range(lists):
+            got = next(runs)
+            assert all(type(v) is int for v in got)
+            assert got == [want.randrange(n) for _ in range(size)]
+
+
+def test_randrange_runs_refuse_bounds_outside_one_word():
+    for n in (0, -1, 1 << 32):
+        with pytest.raises(ValueError):
+            next(randrange_runs(Random(0), n, 4))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 31, 32, 33, 101, 1009, 10007, 65521])

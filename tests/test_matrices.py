@@ -14,7 +14,7 @@ from slgrowth import (
     SpecialLinear,
     full_group,
 )
-from slgrowth import cli, polys
+from slgrowth import cli, draws, polys
 from slgrowth.matrices import SPLIT_BLOCK, SPLIT_SCAN_ENTRIES, char_poly_batch
 
 from oracles import (
@@ -474,16 +474,38 @@ def test_char_poly_batch_matches_char_poly_full(n, p):
 
 
 @pytest.mark.parametrize("n,p,count", [(2, 5, 400), (2, 7, 400), (3, 7, 300),
-                                       (3, 31, 300), (4, 101, 100)])
+                                       (3, 31, 300), (4, 101, 100),
+                                       (2, 257, 400), (3, 17, 300)])
 def test_split_regulars_is_the_sequential_stream(n, p, count):
     """Same (g, eigenvalues) in the same order as one random_element
     draw at a time; at p = 5 about a quarter of the 2x2 chunks are
-    singular, so the stream must drop them exactly as it does."""
+    singular, so the stream must drop them exactly as it does.  At
+    p = 257 and 17, just above a power of two, about half of the
+    generator words are rejected, and the counts span several blocks
+    of entries, so leftover draws carry from block to block."""
     space = sl(n, p)
     for seed in (0, 1):
         oracle_rng = Random(seed)
         want = [split_regular_oracle(space, oracle_rng) for _ in range(count)]
         assert list(itertools.islice(space.split_regulars(Random(seed)), count)) == want
+
+
+class WordsOnly(Random):
+    """A generator whose per-call randrange fails: a sampler given one
+    must read its entries from getrandbits words."""
+
+    def randrange(self, *args):
+        raise AssertionError("per-entry randrange call")
+
+
+def test_split_regulars_read_whole_words(monkeypatch):
+    """The sampler's draw path makes no per-entry randrange call and no
+    numpy call (draws.randrange_runs runs with numpy taken away)."""
+    monkeypatch.setattr(draws, "np", None)
+    space = sl(4, 101)
+    oracle_rng = Random(7)
+    want = [split_regular_oracle(space, oracle_rng) for _ in range(20)]
+    assert list(itertools.islice(space.split_regulars(WordsOnly(7)), 20)) == want
 
 
 def test_split_regulars_bound_the_root_table_at_wide_p():

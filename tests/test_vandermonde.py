@@ -2,6 +2,7 @@
 cyclic window products feeding the nonvanishing checks."""
 
 import itertools
+import math
 from random import Random
 
 import pytest
@@ -233,6 +234,29 @@ def test_cyclic_suite_matches_per_trial(trials):
         assert got == cyclic_nonvanishing_suite_by_trial(n, p, trials, by_trial)
         assert got[1] == trials * (n - 1) * (n + 1)
         assert batched.getstate() == by_trial.getstate()
+
+
+@pytest.mark.parametrize("n,p,counts", [(3, 7, {0, 2, 4}), (4, 5, {5}),
+                                         (4, 7, {0, 2, 5})])
+def test_cyclic_window_lengths_pair_up_exhaustively(n, p, counts):
+    """The symmetry cyclic_nonvanishing_suite relies on, over every head
+    vector: window n-L is a cyclic shift of the reciprocals of window
+    L, and its omit-one determinants have as many zeros as L's.  The
+    zero counts that occur are frozen; at (4, 5) every window has a
+    repeated entry, so all five determinants vanish."""
+    fld = PrimeField(p)
+    seen = set()
+    for head in itertools.product(range(1, p), repeat=n - 1):
+        r = list(head) + [fld.inv(math.prod(head) % p)]
+        windows = {L: cyclic_product_coordinates(fld, r, L) for L in range(1, n)}
+        zeros = {L: sum(generalized_vandermonde_det(fld, q, i) == 0 for i in range(n + 1))
+                 for L, q in windows.items()}
+        for L in range(1, n):
+            inverses = [fld.inv(v) for v in windows[L]]
+            assert windows[n - L] == inverses[n - L:] + inverses[:n - L]
+            assert zeros[n - L] == zeros[L]
+        seen.update(zeros.values())
+    assert seen == counts
 
 
 @pytest.mark.parametrize("trials", TRIAL_COUNTS)
