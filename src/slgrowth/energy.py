@@ -21,7 +21,6 @@ from .growth import Budget, DEFAULT_BUDGET, ElementSet, word_ball
 from .matrices import Mat
 from .tracelab import (
     NoBins,
-    _require_split,
     dyadic_bins,
     f_of,
     fiber_exponent,
@@ -148,7 +147,7 @@ def assemble_vital_instance(A: ElementSet, D: ElementSet, pool_radius: int,
         raise ValueError("vital instances need a nonempty witness set D")
     n = space.n
     field = space.field
-    eigenvalues = {t: _require_split(space, t, "vital instances") for t in D.members}
+    eigenvalues = {t: space.require_split(t, "vital instances") for t in D.members}
 
     pool = word_ball(A, pool_radius, budget)
     kept: list[Mat] = []

@@ -278,22 +278,25 @@ def _ball_shells(A: ElementSet, radius: int, budget: Budget):
     """Expand the word ball shell by shell up to the given radius.
 
     Returns (expander, shells, sizes): shells[0] is A u A^{-1} u {1},
-    shells[r-1] holds A_r minus A_{r-1} (empty once the ball stops
-    growing), and sizes maps each radius r to |A_r|.
+    shells[r-1] holds A_r minus A_{r-1}, and sizes maps each radius r to
+    |A_r|.  The shells end at the first empty one, or at the one that
+    brings the ball to |G|: no product can be new after that, as in
+    generated_closure, so no further step is taken.
     """
     if radius < 1:
         raise ValueError("radius must be >= 1")
     space = A.space
     deadline = budget.start_clock()
     seed = sorted(symmetrized(A).members)
-    bound = _word_bound(len(seed), radius, space.order())
+    order = space.order()
+    bound = _word_bound(len(seed), radius, order)
     grow = _expander(space, bound)(space, seed, left=True)
     shells = [grow.start]
     count = len(seed)
     _check_budget(count, budget, deadline, "word ball")
     sizes = {1: count}
     for r in range(2, radius + 1):
-        if len(shells[-1]):
+        if len(shells[-1]) and count < order:
             shells.append(grow.step(shells[-1], seed))
             count += len(shells[-1])
             _check_budget(count, budget, deadline, "word ball")

@@ -1,10 +1,9 @@
 """Small dense exact linear algebra over Z/pZ (internal).
 
 Matrices here are lists of row lists.  One routine, row_reduce, does
-every Gaussian elimination in the package: determinants and kernel
-vectors here, and the inverse and the minimal polynomial in
-SpecialLinear.  Sizes stay tiny (n <= a few dozen), so clarity beats
-asymptotics.
+every Gaussian elimination in the package: determinants here, and the
+inverse in SpecialLinear.  Sizes stay tiny (n <= a few dozen), so
+clarity beats asymptotics.
 """
 
 from __future__ import annotations
@@ -74,21 +73,3 @@ def det_mod(rows: list[list[int]], field: PrimeField) -> int:
     """Determinant of a square matrix."""
     return row_reduce(rows, field)[2]
 
-
-def nullspace_vector(rows, field: PrimeField) -> list[int] | None:
-    """One kernel vector, deterministically chosen, or None when the
-    columns are independent.
-
-    From the reduced echelon form the first free variable is set to 1
-    and the other free variables to 0; the pivot variables follow.
-    """
-    m, pivots, _ = row_reduce(rows, field, jordan=True)
-    ncols = len(m[0]) if m else 0
-    free = next((c for c in range(ncols) if c not in pivots), None)
-    if free is None:
-        return None
-    vec = [0] * ncols
-    vec[free] = 1
-    for row, c in zip(m, pivots):
-        vec[c] = (-row[free]) % field.p
-    return vec

@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import linalg, polys
-from .errors import NotInGroup, SingularMatrix
+from .errors import InvalidWitness, NotInGroup, SingularMatrix, UnsupportedTorus
 from .field import PrimeField
 
 Mat = tuple  # flat row-major tuple of ints, length n*n
@@ -268,7 +268,7 @@ class SpecialLinear:
             out.append(self.mul(out[-1], g))
         return out
 
-    # -- characteristic and minimal polynomials ---------------------------
+    # -- characteristic polynomials -----------------------------------------
 
     def char_poly_full(self, g: Mat, powers: Optional[list] = None) -> list[int]:
         """Coefficients of det(xI - g), lowest degree first, monic.  At
@@ -322,40 +322,54 @@ class SpecialLinear:
             raise NotInGroup("characteristic constant term shows det != 1")
         return tuple(coeffs[n - 1 - j] for j in range(n - 1))
 
-    def minimal_polynomial(self, g: Mat) -> list[int]:
-        """Monic minimal polynomial: the first linear dependence among
-        I, g, ..., g^n read as n^2-vectors.
-
-        The kernel vector of the matrix whose columns are those powers
-        has its first free column, the degree of the minimal
-        polynomial, set to 1 and every later column set to 0.  Only
-        classify_semisimple needs it.
-        """
-        powers = self.power_list(g, self.n)
-        return polys.trim(linalg.nullspace_vector(list(zip(*powers)), self.field))
-
     # -- semisimplicity ----------------------------------------------------
 
     def classify_semisimple(self, g: Mat) -> SemisimplicityClass:
-        """Three-way split driven by squarefreeness.
-
-        Distinct eigenvalues (charpoly squarefree) give the regular case;
-        otherwise diagonalizability is decided by squarefreeness of the
-        minimal polynomial.  Valid since p > n keeps everything separable.
-        No subcommand calls it (trace-lab decides per class, in numpy);
-        it is the per-element reference, and perfbench/kernels.py times it.
+        """Regular when chi = det(xI - g) is squarefree; otherwise
+        semisimple iff rad(chi)(g) = 0.  Over the perfect field F_p, g is
+        semisimple iff its minimal polynomial is squarefree, iff that
+        polynomial, which divides chi and has its irreducible factors,
+        divides rad(chi) (Humphreys, Linear Algebraic Groups, 15.1).
+        tracelab._semisimple applies the same rule per class in numpy.
+        No subcommand calls this per-element reference; perfbench/kernels.py
+        times it.
         """
-        field = self.field
-        f = self.char_poly_full(g)
-        if polys.is_squarefree(f, field):
+        rad = polys.radical(self.char_poly_full(g), self.field)
+        if rad is None:
             return SemisimplicityClass.REGULAR_SEMISIMPLE
-        m = self.minimal_polynomial(g)
-        if polys.is_squarefree(m, field):
-            return SemisimplicityClass.SEMISIMPLE_NOT_REGULAR
-        return SemisimplicityClass.NOT_SEMISIMPLE
+        n, p = self.n, self.p
+        value = self._identity
+        for c in rad[-2::-1]:  # Horner from the monic top: deg rad <= n - 1 products
+            value = list(self.mul(value, g))
+            for i in range(0, n * n, n + 1):
+                value[i] = (value[i] + c) % p
+        if any(value):
+            return SemisimplicityClass.NOT_SEMISIMPLE
+        return SemisimplicityClass.SEMISIMPLE_NOT_REGULAR
 
     def is_regular_semisimple(self, g: Mat) -> bool:
         return polys.is_squarefree(self.char_poly_full(g), self.field)
+
+    def require_regular(self, g: Mat, what: str) -> list[int]:
+        """char_poly_full(g), after checking that g is regular semisimple
+        (squarefree charpoly); InvalidWitness otherwise."""
+        full = self.char_poly_full(g)
+        if not polys.is_squarefree(full, self.field):
+            raise InvalidWitness(f"{what} needs a regular semisimple witness")
+        return full
+
+    def require_split(self, g: Mat, what: str) -> list[int]:
+        """split_eigenvalues(g), after checking that g is regular
+        semisimple (InvalidWitness) and split over F_p (UnsupportedTorus)."""
+        eigs = self.split_eigenvalues(g)
+        if eigs is None:
+            if not self.is_regular_semisimple(g):
+                raise InvalidWitness(f"{what} needs a regular semisimple witness")
+            raise UnsupportedTorus(
+                f"{what} needs a split witness "
+                "(characteristic polynomial with n rational roots)"
+            )
+        return eigs
 
     def split_eigenvalues(self, g: Mat) -> Optional[list[int]]:
         """Eigenvalues sorted ascending as ints when g is split regular

@@ -2,8 +2,8 @@
 
 A polynomial is a list of canonical coefficients, lowest degree first,
 with no trailing zeros; the zero polynomial is the empty list.  These
-are building blocks for characteristic/minimal polynomial work, so they
-stay small and allocation-light rather than general.
+are building blocks for characteristic polynomial work, so they stay
+small and allocation-light rather than general.
 """
 
 from __future__ import annotations
@@ -118,6 +118,18 @@ def is_squarefree(f: list, field: PrimeField) -> bool:
     return degree(gcd(f, deriv(f, field.p), field)) <= 0
 
 
+def radical(f: list, field: PrimeField) -> list | None:
+    """None when f is squarefree; otherwise rad(f) = f / gcd(f, f'), the
+    product of the distinct irreducible factors of f, monic when f is.
+    Every multiplicity is below p when deg f < p, so f' keeps each
+    repeated factor once less than f does."""
+    common = gcd(f, deriv(f, field.p), field)
+    if degree(common) <= 0:
+        return None
+    rad, _ = divmod_poly(f, common, field)
+    return rad
+
+
 def rational_roots(f: list, field: PrimeField) -> list[int]:
     """All roots in Z/pZ in ascending order, by direct scan (desk-scale p).
 
@@ -135,7 +147,7 @@ def factor_degrees(f: list, field: PrimeField) -> list[int]:
     Distinct-degree sieve: gcd(x^(p^d) - x, f) collects every factor of
     degree d.  Returns the degree multiset sorted ascending.
     """
-    if degree(gcd(f, deriv(f, field.p), field)) > 0:
+    if not is_squarefree(f, field):
         raise ValueError("factor_degrees expects a squarefree polynomial")
     g = monic(f, field)
     degs: list[int] = []

@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import polys
-from .errors import InvalidWitness
 from .growth import Budget, DEFAULT_BUDGET, ElementSet, _ball_shells
 from .matrices import Mat, SpecialLinear
 
@@ -25,8 +24,7 @@ def centralizer_torus(A_k: ElementSet, g0: Mat) -> ElementSet:
     """Elements of A_k commuting with the witness g0 (rich_torus_scan
     takes each centralizer from here)."""
     space = A_k.space
-    if not space.is_regular_semisimple(g0):
-        raise InvalidWitness("centralizer witness must be regular semisimple")
+    space.require_regular(g0, "the centralizer torus")
     mul = space.mul
     members = frozenset(h for h in A_k.members if mul(h, g0) == mul(g0, h))
     return ElementSet(space, members)
@@ -34,9 +32,7 @@ def centralizer_torus(A_k: ElementSet, g0: Mat) -> ElementSet:
 
 def torus_order_and_split(space: SpecialLinear, g0: Mat) -> tuple[int, bool]:
     """(|T(K)|, split?) for the centralizer torus of g0 over F_p."""
-    f = space.char_poly_full(g0)
-    if not polys.is_squarefree(f, space.field):
-        raise InvalidWitness("torus witness must be regular semisimple")
+    f = space.require_regular(g0, "the torus order")
     degrees = polys.factor_degrees(f, space.field)
     p = space.p
     order = 1

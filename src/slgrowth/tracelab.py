@@ -7,7 +7,9 @@ invariants among pool elements with tr(t^i g) = r and t^i g semisimple.
 Pool elements whose n+1 shifts are all semisimple get sorted into
 dyadic bins by the tuple of wealth magnitudes.  Wealth, bins and the
 distinct tuple counts are all read off one shift table, which holds the
-trace, invariant and semisimplicity of every t^k g, computed in numpy.
+trace, invariant and semisimplicity of every t^k g, computed in numpy;
+semisimplicity is rad(chi)(t^k g) = 0, with rad(chi) taken once per
+class by polys.radical.
 
 The f map sends t to the coefficient vector (r_0, ..., r_{n-1}) with
 
@@ -28,41 +30,11 @@ from math import factorial, log
 import numpy as np
 
 from . import polys
-from .errors import (
-    FiberBoundViolation,
-    InvalidWitness,
-    NoBins,
-    NotInGroup,
-    UnsupportedTorus,
-)
+from .errors import FiberBoundViolation, InvalidWitness, NoBins, NotInGroup
 from .field import PrimeField
 from .growth import ElementSet
 from .matrices import Mat, SpecialLinear, char_poly_batch
 from .vandermonde import omit_one_dets
-
-
-def _require_regular(space: SpecialLinear, t: Mat, what: str) -> list[int]:
-    """The coefficients of det(xI - t), lowest degree first, after
-    checking that t is regular semisimple (squarefree charpoly)."""
-    full = space.char_poly_full(t)
-    if not polys.is_squarefree(full, space.field):
-        raise InvalidWitness(f"{what} needs a regular semisimple witness")
-    return full
-
-
-def _require_split(space: SpecialLinear, t: Mat, what: str) -> list[int]:
-    """The eigenvalues of t sorted ascending as ints, after checking
-    that t is regular semisimple (InvalidWitness) and split over F_p
-    (UnsupportedTorus)."""
-    eigs = space.split_eigenvalues(t)
-    if eigs is None:
-        if not space.is_regular_semisimple(t):
-            raise InvalidWitness(f"{what} needs a regular semisimple witness")
-        raise UnsupportedTorus(
-            f"{what} needs a split witness "
-            "(characteristic polynomial with n rational roots)"
-        )
-    return eigs
 
 
 @dataclass(frozen=True)
@@ -140,28 +112,22 @@ def _traces_and_codes(space: SpecialLinear, shifted: np.ndarray, dtype):
 
 @lru_cache(maxsize=1 << 16)
 def _radical(n: int, field: PrimeField, code: int):
-    """None when the class's charpoly chi is squarefree (the class is
-    regular semisimple); otherwise rad(chi) = chi / gcd(chi, chi'),
-    coefficients lowest degree first, padded to length n.  Cached for
-    the whole run: callers with many witnesses over one pool meet the
-    same few classes again and again."""
+    """polys.radical of the class's charpoly chi, padded to length n:
+    None when the class is regular semisimple.  Cached for the whole
+    run: callers with many witnesses over one pool meet the same few
+    classes again and again."""
     p = field.p
     chi = [(-1) ** n % p] + [code // p ** (j - 1) % p for j in range(1, n)] + [1]
-    common = polys.gcd(chi, polys.deriv(chi, p), field)
-    if polys.degree(common) <= 0:
-        return None
-    rad, _ = polys.divmod_poly(chi, common, field)
-    return tuple(rad) + (0,) * (n - len(rad))
+    rad = polys.radical(chi, field)
+    return None if rad is None else tuple(rad) + (0,) * (n - len(rad))
 
 
 def _semisimple(space: SpecialLinear, shifted: np.ndarray,
                 codes: np.ndarray) -> np.ndarray:
     """Semisimplicity of each shifted matrix, decided per class first.
 
-    Over the perfect field F_p, g is semisimple iff its minimal
-    polynomial is squarefree; the minimal polynomial divides chi and has
-    the same irreducible factors, so g is semisimple iff rad(chi)(g) = 0.
-    A squarefree chi needs no test.
+    g is semisimple iff rad(chi)(g) = 0, the rule of
+    SpecialLinear.classify_semisimple; a squarefree chi needs no test.
     """
     n, p = space.n, space.p
     flat = codes.ravel().tolist()
@@ -219,7 +185,7 @@ def wealth(t: Mat, i: int, r: int, pool: ElementSet) -> int:
     n = space.n
     if not 0 <= i <= n:
         raise ValueError(f"shift {i} out of range 0..{n}")
-    _require_regular(space, t, "wealth")
+    space.require_regular(t, "wealth")
     return _wealths(shift_table(t, pool), i)[r % space.p]
 
 
@@ -244,7 +210,7 @@ def dyadic_bins(t: Mat, pool: ElementSet, table: ShiftTable | None = None
     `table` is `shift_table(t, pool)`, when the caller already has it.
     """
     space = pool.space
-    _require_regular(space, t, "dyadic bins")
+    space.require_regular(t, "dyadic bins")
     if table is None:
         table = shift_table(t, pool)
     eligible = table.semisimple.all(axis=0)
@@ -320,7 +286,7 @@ def f_from_char_poly(space: SpecialLinear, full: list) -> FVector:
 
 def f_of(space: SpecialLinear, t: Mat) -> FVector:
     """The f map, after checking that t is regular semisimple."""
-    return f_from_char_poly(space, _require_regular(space, t, "the f map"))
+    return f_from_char_poly(space, space.require_regular(t, "the f map"))
 
 
 def fiber_bound_check(S: ElementSet) -> tuple[int, Fraction]:
@@ -332,7 +298,7 @@ def fiber_bound_check(S: ElementSet) -> tuple[int, Fraction]:
     mul = space.mul
     members = S.sorted_members()
     for t in members:
-        _require_regular(space, t, "fiber bounds")
+        space.require_regular(t, "fiber bounds")
     for a_idx in range(len(members)):
         for b_idx in range(a_idx + 1, len(members)):
             a, b = members[a_idx], members[b_idx]

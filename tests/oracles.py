@@ -170,19 +170,52 @@ def minimal_polynomial_oracle(n, p, g):
     raise AssertionError("no annihilating polynomial of degree <= n")
 
 
-def classify_oracle(space, g):
-    """Diagonalizability over the splitting field, decided rationally.
+def poly_divides(q, f, p):
+    """Does monic q divide f?  Schoolbook long division."""
+    rem = list(f)
+    for low in range(len(rem) - len(q), -1, -1):
+        c = rem[low + len(q) - 1]
+        for k, qk in enumerate(q):
+            rem[low + k] = (rem[low + k] - c * qk) % p
+    return not any(rem)
 
-    Valid for n <= 3: any repeated eigenvalue of a degree <= 3 polynomial
-    over F_p is itself rational (conjugate roots of an irreducible factor
-    are distinct and share multiplicity), so it is enough to inspect the
+
+def squarefree_oracle(f, p):
+    """No monic q of degree 1..deg(f)/2 has q^2 | f: a repeated
+    irreducible factor of f would be such a q."""
+    deg = len(f) - 1
+    for d in range(1, deg // 2 + 1):
+        for low in itertools.product(range(p), repeat=d):
+            q = list(low) + [1]
+            if poly_divides(poly_mul(q, q, p), f, p):
+                return False
+    return True
+
+
+def classify_oracle(space, g):
+    """Diagonalizability over the splitting field, decided rationally
+    for n <= 3 and by brute force for n >= 4 at small p.
+
+    For n <= 3 any repeated eigenvalue of a degree <= 3 polynomial over
+    F_p is itself rational (conjugate roots of an irreducible factor are
+    distinct and share multiplicity), so it is enough to inspect the
     rational roots.  An element is regular semisimple when no root
     repeats, and semisimple when every repeated rational eigenvalue has
     a full eigenspace: rank(g - lam*I) = n - multiplicity.
+
+    For n >= 4 an element is regular semisimple when its charpoly is
+    squarefree, and semisimple when the minimal polynomial found by
+    minimal_polynomial_oracle is; both squarefree tests go by
+    squarefree_oracle.  The cost grows as p^n.
     """
     n, p = space.n, space.p
-    assert n <= 3, "rational-root oracle only covers n <= 3"
     coeffs = charpoly_oracle(n, p, g)
+    if n >= 4:
+        if squarefree_oracle(coeffs, p):
+            return SemisimplicityClass.REGULAR_SEMISIMPLE
+        if squarefree_oracle(minimal_polynomial_oracle(n, p, g), p):
+            return SemisimplicityClass.SEMISIMPLE_NOT_REGULAR
+        return SemisimplicityClass.NOT_SEMISIMPLE
     mults = root_multiplicities(coeffs, p)
     if all(m == 1 for m in mults.values()):
         return SemisimplicityClass.REGULAR_SEMISIMPLE
@@ -297,14 +330,25 @@ def closure_oracle(space, gens):
     return frozenset(seen)
 
 
+def ball_oracle(space, gens, radius):
+    """[B_1, ..., B_radius] with B_1 = S = gens u gens^-1 u {1} and
+    B_r = S * B_{r-1}: every product formed at every radius, with no
+    stop once a ball stops growing."""
+    S = set(gens) | {space.inv(g) for g in gens} | {space.identity()}
+    balls = [frozenset(S)]
+    while len(balls) < radius:
+        balls.append(frozenset(space.mul(s, x) for s in S for x in balls[-1]))
+    return balls
+
+
 # ---------------------------------------------------------------------------
 # trace-lab oracle
 
 
 def dyadic_bins_oracle(space, t, members):
     """{jvec: frozenset of members}, the dyadic wealth bins built one
-    element and one shift at a time: classify_semisimple and char_poly
-    of every t^k g, wealth tables as sets of invariants per trace."""
+    element and one shift at a time: classify_oracle and char_poly of
+    every t^k g, wealth tables as sets of invariants per trace."""
     n = space.n
     powers = space.power_list(t, n)
     kappa_tables = [dict() for _ in range(n + 1)]
@@ -316,7 +360,7 @@ def dyadic_bins_oracle(space, t, members):
             shifted = space.mul(powers[i], g)
             tr = space.trace(shifted)
             traces.append(tr)
-            if space.classify_semisimple(shifted) is SemisimplicityClass.NOT_SEMISIMPLE:
+            if classify_oracle(space, shifted) is SemisimplicityClass.NOT_SEMISIMPLE:
                 all_ss = False
             else:
                 kappa_tables[i].setdefault(tr, set()).add(space.char_poly(shifted))

@@ -1,14 +1,17 @@
-"""The traced benchmark run finds its hooks in slgrowth by name.
+"""The benchmark finds its hooks in slgrowth by name.
 
 perfbench/traced.py wraps each function named in its LAYERS table,
 looking the name up in vars() of slgrowth.cli, slgrowth.growth and
 slgrowth.energy; a renamed or removed function makes the traced run
-die with StopIteration.  This test only reads perfbench/.
+die with StopIteration.  perfbench/kernels.py times SpecialLinear
+methods, and traced.install patches one, so a renamed or deleted
+method fails the benchmark run.  These tests only read perfbench/.
 """
 
+import ast
 from pathlib import Path
 
-from slgrowth import cli, energy, growth
+from slgrowth import SpecialLinear, cli, energy, growth
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -21,3 +24,24 @@ def test_traced_layer_names_resolve(monkeypatch):
     assert sorted(set(traced.LAYERS.values()) - names) == []
     # install() also patches these two cli names
     assert "_DISPATCH" in vars(cli) and "SpecialLinear" in vars(cli)
+
+
+def attributes_of(script: str, name: str) -> set:
+    """Every attribute a perfbench script takes of the variable `name`."""
+    tree = ast.parse((PERFBENCH / script).read_text())
+    return {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name) and node.value.id == name}
+
+
+def test_kernel_methods_resolve():
+    used = attributes_of("kernels.py", "space")
+    assert used >= {"random_element", "mul", "inv", "char_poly", "classify_semisimple"}
+    space = SpecialLinear(2, 5)
+    assert sorted(name for name in used if not callable(getattr(space, name, None))) == []
+
+
+def test_patched_space_methods_resolve():
+    used = attributes_of("traced.py", "space_cls")
+    assert "split_eigenvalues" in used
+    assert sorted(name for name in used if not hasattr(SpecialLinear, name)) == []

@@ -1,5 +1,6 @@
 """Field arithmetic, dense polynomials, and the small linear algebra kernel."""
 
+import itertools
 from random import Random
 
 import pytest
@@ -7,7 +8,7 @@ import pytest
 from slgrowth import PrimeField, is_prime
 from slgrowth import polys, linalg
 
-from oracles import matrix_rank_oracle, poly_add, poly_from_roots, poly_mul
+from oracles import poly_add, poly_from_roots, poly_mul
 
 
 # ---------------------------------------------------------------------------
@@ -109,6 +110,28 @@ def test_is_squarefree():
     assert not polys.is_squarefree(sq, fld)
 
 
+def test_radical_exhaustive_monic_degree_one_to_four_p5():
+    p = 5
+    fld = PrimeField(p)
+    repeated = 0
+    for d in range(1, 5):
+        for low in itertools.product(range(p), repeat=d):
+            f = list(low) + [1]
+            rad = polys.radical(f, fld)
+            common = polys.gcd(f, polys.deriv(f, p), fld)
+            assert (rad is None) == (polys.degree(common) <= 0), f
+            if rad is None:
+                continue
+            repeated += 1
+            assert rad[-1] == 1 and polys.is_squarefree(rad, fld), f
+            assert polys.divmod_poly(f, rad, fld)[1] == [], f
+            power = [1]
+            for _ in range(d):
+                power = polys.mul(power, rad, p)
+            assert polys.divmod_poly(power, f, fld)[1] == [], f
+    assert repeated  # x^2, (x - 1)^2 (x + 2), ... are there
+
+
 def test_rational_roots_matches_scan():
     fld = PrimeField(13)
     rng = Random(4)
@@ -186,60 +209,3 @@ def test_det_mod_matches_permutation_expansion():
             for _ in range(60):
                 rows = [[rng.randrange(p) for _ in range(n)] for _ in range(n)]
                 assert linalg.det_mod(rows, fld) == _perm_det(rows, p)
-
-
-def test_nullspace_vector_annihilates():
-    fld = PrimeField(11)
-    rng = Random(7)
-    found = 0
-    for _ in range(200):
-        rows = [[rng.randrange(11) for _ in range(3)] for _ in range(2)]
-        v = linalg.nullspace_vector(rows, fld)
-        assert v is not None  # 2x3 always has a kernel
-        assert any(v)
-        for row in rows:
-            assert sum(r * x for r, x in zip(row, v)) % 11 == 0
-        found += 1
-    assert found == 200
-
-
-def _check_nullspace_vector(rows, p):
-    """The kernel vector is None exactly at full column rank; otherwise
-    it annihilates the rows, is 1 at the first free column and 0 at
-    every later free column (a column is free when it does not raise
-    the rank of the columns before it)."""
-    ncols = len(rows[0])
-    v = linalg.nullspace_vector(rows, PrimeField(p))
-    ranks = [matrix_rank_oracle([row[:c] for row in rows], p)
-             for c in range(ncols + 1)]
-    free = [c for c in range(ncols) if ranks[c + 1] == ranks[c]]
-    if not free:
-        assert v is None
-        return 0
-    for row in rows:
-        assert sum(r * x for r, x in zip(row, v)) % p == 0
-    assert v[free[0]] == 1
-    assert all(v[c] == 0 for c in free[1:])
-    return len(free)
-
-
-def test_nullspace_vector_tall_and_wide_match_oracle():
-    rng = Random(12)
-    deficient = 0
-    for p in (3, 5):
-        for _ in range(100):
-            tall = [[rng.randrange(p) for _ in range(4)] for _ in range(9)]
-            if rng.random() < 0.3:  # force a dependent column
-                c = rng.randrange(1, 4)
-                for row in tall:
-                    row[c] = (row[0] + 2 * row[c - 1]) % p
-            deficient += _check_nullspace_vector(tall, p) > 0
-            wide = [[rng.randrange(p) for _ in range(5)] for _ in range(2)]
-            assert _check_nullspace_vector(wide, p) >= 3
-    assert deficient
-
-
-def test_nullspace_vector_none_for_full_rank():
-    fld = PrimeField(5)
-    rows = [[1, 0], [0, 1]]
-    assert linalg.nullspace_vector(rows, fld) is None

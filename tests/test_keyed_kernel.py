@@ -26,7 +26,7 @@ from slgrowth import (
 from slgrowth import growth
 from slgrowth.growth import _KeyedExpander, _TupleExpander
 
-from oracles import closure_oracle
+from oracles import ball_oracle, closure_oracle
 
 SPACES = [(2, 3), (2, 5), (2, 7), (2, 11), (2, 13), (3, 5)]
 SPACE_IDS = [f"SL{n}F{p}" for n, p in SPACES]
@@ -80,6 +80,33 @@ def test_ball_shells_match(monkeypatch, n, p):
         assert keyed_balls == tuple_balls
         assert [len(b) for b in keyed_balls] == [
             keyed_sizes[r] for r in range(1, len(keyed_balls) + 1)]
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13])
+def test_saturated_ball_takes_no_further_step(monkeypatch, p):
+    """Once a ball holds |G| neither engine takes another step, and the
+    sizes and members at every radius are still the oracle's."""
+    space = SpecialLinear(2, p)
+    A = standard_generators(space)
+    radius = 2 * p
+    expected = ball_oracle(space, A.members, radius)
+    full = [r for r, ball in enumerate(expected, 1) if len(ball) == space.order()]
+    assert full and full[0] < radius
+    for expander in (_TupleExpander, _KeyedExpander):
+        steps = []
+
+        def spy(self, frontier, gens, step=expander.step):
+            steps.append(len(frontier))
+            return step(self, frontier, gens)
+
+        monkeypatch.setattr(growth, "_expander", lambda space, count, e=expander: e)
+        monkeypatch.setattr(expander, "step", spy)
+        grow, shells, sizes = growth._ball_shells(A, radius, growth.DEFAULT_BUDGET)
+        assert type(grow) is expander
+        assert sizes == {r: len(ball) for r, ball in enumerate(expected, 1)}
+        assert [grow.members(shells[:r]) for r in range(1, radius + 1)] == expected
+        assert len(steps) == full[0] - 1  # radii 2..saturation, none after
+        monkeypatch.undo()
 
 
 @pytest.mark.parametrize("n,p", SPACES, ids=SPACE_IDS)

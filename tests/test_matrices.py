@@ -242,6 +242,20 @@ def test_classify_sampled_sl3_f7_against_oracle():
         assert space.classify_semisimple(g) == classify_oracle(space, g)
 
 
+def test_classify_sampled_sl4_f5_against_oracle():
+    """At n = 4 the oracle decides by the brute-force minimal polynomial,
+    a rule independent of the radical classify_semisimple evaluates."""
+    space = sl(4, 5)
+    rng = Random(45)
+    seen = set()
+    for _ in range(1500):
+        g = space.random_element(rng)
+        cls = space.classify_semisimple(g)
+        assert cls == classify_oracle(space, g)
+        seen.add(cls)
+    assert seen == {RS, SS, NS}
+
+
 def test_classify_sees_nonregular_semisimple_in_sl3():
     # diag(a, a, a^-2) is semisimple with a repeated eigenvalue
     space = sl(3, 7)
@@ -250,31 +264,6 @@ def test_classify_sees_nonregular_semisimple_in_sl3():
     h = space.from_rows([[3, 0, 0], [0, 3, 0], [0, 0, 4]])  # 3*3*4 = 36 = 1
     assert space.classify_semisimple(h) is SS
     assert not space.is_regular_semisimple(h)
-
-
-def test_minimal_polynomial_properties():
-    from slgrowth import polys
-
-    rng = Random(9)
-    for n, p in ((2, 5), (3, 7)):
-        space = sl(n, p)
-        fld = space.field
-        for _ in range(60):
-            g = space.random_element(rng)
-            m = space.minimal_polynomial(g)
-            # divides the characteristic polynomial
-            _, rem = polys.divmod_poly(space.char_poly_full(g), m, fld)
-            assert rem == []
-            # annihilates g
-            value = tuple(0 for _ in range(n * n))
-            power = space.identity()
-            for c in m:
-                if c:
-                    value = tuple(
-                        (v + c * w) % p for v, w in zip(value, power)
-                    )
-                power = space.mul(power, g)
-            assert all(v == 0 for v in value)
 
 
 def _linear_factors(roots, p):
@@ -302,41 +291,29 @@ def test_minimal_polynomial_of_non_regular_elements():
     p = 11
     a, b = 3, pow(3, -1, p)  # b = a^-1
     cases = {
-        # (n, Jordan blocks): expected minimal polynomial roots
-        (2, ((1, 1), (1, 1))): [1],
-        (2, ((-1, 1), (-1, 1))): [-1],
-        (2, ((1, 2),)): [1, 1],
-        (2, ((-1, 2),)): [-1, -1],
-        (3, ((1, 1), (1, 1), (1, 1))): [1],
-        (3, ((a, 1), (a, 1), (b * b, 1))): [a, b * b],  # diag(a, a, a^-2)
-        (3, ((a, 2), (b * b, 1))): [a, a, b * b],
-        (3, ((1, 2), (1, 1))): [1, 1],
-        (3, ((1, 3),)): [1, 1, 1],
-        (4, ((1, 1),) * 4): [1],
-        (4, ((-1, 1),) * 4): [-1],
-        (4, ((a, 1), (a, 1), (b, 1), (b, 1))): [a, b],
-        (4, ((a, 1), (a, 1), (a, 1), (b ** 3, 1))): [a, b ** 3],
-        (4, ((1, 2), (1, 2))): [1, 1],
-        (4, ((1, 4),)): [1, 1, 1, 1],
+        # (n, Jordan blocks): (expected minimal polynomial roots, class)
+        (2, ((1, 1), (1, 1))): ([1], SS),
+        (2, ((-1, 1), (-1, 1))): ([-1], SS),
+        (2, ((1, 2),)): ([1, 1], NS),
+        (2, ((-1, 2),)): ([-1, -1], NS),
+        (3, ((1, 1), (1, 1), (1, 1))): ([1], SS),
+        (3, ((a, 1), (a, 1), (b * b, 1))): ([a, b * b], SS),  # diag(a, a, a^-2)
+        (3, ((a, 2), (b * b, 1))): ([a, a, b * b], NS),
+        (3, ((1, 2), (1, 1))): ([1, 1], NS),
+        (3, ((1, 3),)): ([1, 1, 1], NS),
+        (4, ((1, 1),) * 4): ([1], SS),
+        (4, ((-1, 1),) * 4): ([-1], SS),
+        (4, ((a, 1), (a, 1), (b, 1), (b, 1))): ([a, b], SS),
+        (4, ((a, 1), (a, 1), (a, 1), (b ** 3, 1))): ([a, b ** 3], SS),
+        (4, ((1, 2), (1, 2))): ([1, 1], NS),
+        (4, ((1, 4),)): ([1, 1, 1, 1], NS),
     }
-    for (n, blocks), roots in cases.items():
+    for (n, blocks), (roots, cls) in cases.items():
         space = sl(n, p)
         g = space.check_member(space.from_rows(_jordan(n, p, blocks)))
-        expected = _linear_factors(roots, p)
-        assert space.minimal_polynomial(g) == expected, (n, blocks)
-        assert minimal_polynomial_oracle(n, p, g) == expected
-
-
-def test_minimal_polynomial_matches_oracle():
-    for n, p in ((2, 5), (2, 7)):
-        space = sl(n, p)
-        for g in sorted(full_group(space).members):
-            assert space.minimal_polynomial(g) == minimal_polynomial_oracle(n, p, g)
-    rng = Random(21)
-    space = sl(3, 5)
-    for _ in range(150):
-        g = space.random_element(rng)
-        assert space.minimal_polynomial(g) == minimal_polynomial_oracle(3, 5, g)
+        assert minimal_polynomial_oracle(n, p, g) == _linear_factors(roots, p)
+        assert space.classify_semisimple(g) is cls, (n, blocks)
+        assert classify_oracle(space, g) is cls, (n, blocks)
 
 
 def test_split_eigenvalues():
