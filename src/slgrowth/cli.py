@@ -223,12 +223,10 @@ def build_generators(cfg: ExperimentConfig, space: SpecialLinear) -> ElementSet:
     generate (unchecked when the order exceeds the closure budget)."""
     if cfg.generators == "standard":
         return standard_generators(space)
-    rng = stream_rng(cfg.seed, f"generators:{space.n}:{space.p}")
+    stream = space.elements(stream_rng(cfg.seed, f"generators:{space.n}:{space.p}"))
     budget = cfg.budget()
     for _ in range(64):
-        A = ElementSet(
-            space, frozenset(space.random_element(rng) for _ in range(cfg.count))
-        )
+        A = ElementSet(space, frozenset(next(stream)[0] for _ in range(cfg.count)))
         try:
             if generates(A, budget):
                 return A

@@ -10,9 +10,9 @@ the first in the lowest bits.  Two readers apply that rule in bulk:
   close() leaves the generator where those calls would have left it.
 - randrange_runs yields what consecutive randrange(n) calls return, in
   lists of a fixed length.  It filters the words without numpy, because
-  the ufunc code a numpy filter loads costs the split sampler, its one
-  caller, more peak memory than the filter saves.  It reads ahead and
-  never rewinds.
+  the ufunc code a numpy filter loads costs the element stream
+  (SpecialLinear.elements and split_regulars), its one caller, more
+  peak memory than the filter saves.  It reads ahead and never rewinds.
 """
 
 from __future__ import annotations

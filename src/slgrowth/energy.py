@@ -152,11 +152,10 @@ def assemble_vital_instance(A: ElementSet, D: ElementSet, pool_radius: int,
     pool = word_ball(A, pool_radius, budget)
     kept: list[Mat] = []
     excluded: list[Mat] = []
-    for t in D.sorted_members():
-        if lindep_checks(field, [eigenvalues[t]])[0]:
-            kept.append(t)
-        else:
-            excluded.append(t)
+    witnesses = D.sorted_members()
+    checks = lindep_checks(field, [eigenvalues[t] for t in witnesses])
+    for t, independent in zip(witnesses, checks):
+        (kept if independent else excluded).append(t)
 
     x_values: set = set()
     assignments: dict = {}

@@ -471,8 +471,7 @@ class GrowthReport:
         return out
 
 
-def growth_scan(A: ElementSet, ks=(), budget: Budget = DEFAULT_BUDGET,
-                check_generation: bool = True) -> GrowthReport:
+def growth_scan(A: ElementSet, ks=(), budget: Budget = DEFAULT_BUDGET) -> GrowthReport:
     """Measure |A|, |A*A*A|, epsilon_hat, and ball sizes for each k.
 
     Generation is checked when the group order fits the budget,
@@ -485,11 +484,10 @@ def growth_scan(A: ElementSet, ks=(), budget: Budget = DEFAULT_BUDGET,
         raise ValueError("ball radii must be >= 1")
     order = space.order()
     generation_ok: Optional[bool] = None
-    if check_generation:
-        try:
-            generation_ok = generates(A, budget)
-        except Indeterminate:
-            pass  # |G| exceeds the closure budget: generation is not checked
+    try:
+        generation_ok = generates(A, budget)
+    except Indeterminate:
+        pass  # |G| exceeds the closure budget: generation is not checked
     size_a = len(A)
     aaa = triple_product(A, budget)
     size_aaa = len(aaa)

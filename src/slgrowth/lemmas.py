@@ -9,6 +9,7 @@ from random import Random
 
 from .field import PrimeField
 from .matrices import SpecialLinear
+from .polys import is_squarefree
 from .tracelab import f_from_char_poly, lindep_checks
 from .vandermonde import (cyclic_product_coordinates, elementary_symmetric,
                           omit_one_dets, vandermonde_product)
@@ -33,28 +34,31 @@ def vander_identity_suite(n: int, p: int, trials: int, rng: Random) -> tuple[int
 
 
 def f_identity_suite(n: int, p: int, trials: int, rng: Random) -> tuple[int, int]:
-    """Random (t, g) checks of the shifted-trace recursion.  The
-    charpoly and squarefree test that draw t also give f(t), so each
-    trial computes them, and the powers of t, once."""
+    """Random (t, g) checks of the shifted-trace recursion: t is the next
+    element of the seeded stream whose charpoly, which also gives f(t),
+    is squarefree, and g the element after it.  Each trial builds the
+    powers of t once."""
     space = SpecialLinear(n, p)
+    stream = space.elements(rng)
     passes = 0
-    for _, (_, full, powers) in zip(range(trials), space.regular_semisimples(rng)):
-        g = space.random_element(rng)
-        fv = f_from_char_poly(space, full)
-        if fv.predicts(space, powers, g):
+    for _ in range(trials):
+        t, full = next((t, full) for t, full in stream if is_squarefree(full, space.field))
+        g, _ = next(stream)
+        if f_from_char_poly(space, full).predicts(space, space.power_list(t, n), g):
             passes += 1
     return passes, trials
 
 
 def kappa_conjugation_suite(n: int, p: int, trials: int, rng: Random) -> tuple[int, int]:
-    """Random (g, h) checks that the invariant tuple survives conjugation."""
+    """Random (g, h) checks that the charpoly, and with it the invariant
+    tuple, survives conjugation."""
     space = SpecialLinear(n, p)
+    stream = space.elements(rng)
     passes = 0
     for _ in range(trials):
-        g = space.random_element(rng)
-        h = space.random_element(rng)
+        (g, full), (h, _) = next(stream), next(stream)
         conj = space.mul(space.mul(h, g), space.inv(h))
-        if space.char_poly(conj) == space.char_poly(g):
+        if space.char_poly_full(conj) == full:
             passes += 1
     return passes, trials
 

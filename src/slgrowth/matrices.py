@@ -19,14 +19,13 @@ from .field import PrimeField
 
 Mat = tuple  # flat row-major tuple of ints, length n*n
 
-# candidates per block in SpecialLinear.split_regulars, at most; the
-# block is cut so that its (block, p) root table stays within
-# SPLIT_SCAN_ENTRIES entries
+# candidates per block of SpecialLinear._element_blocks, at most;
+# split_regulars cuts its blocks so that their (block, p) root table
+# stays within SPLIT_SCAN_ENTRIES entries
 SPLIT_BLOCK = 64
 SPLIT_SCAN_ENTRIES = 1 << 20
-# rejected candidates in a row after which the samplers give up
+# rejected candidates in a row after which split_regulars gives up
 SPLIT_MAX_TRIES = 20_000
-REGULAR_MAX_TRIES = 10_000
 
 
 class SemisimplicityClass(enum.Enum):
@@ -270,10 +269,9 @@ class SpecialLinear:
 
     # -- characteristic polynomials -----------------------------------------
 
-    def char_poly_full(self, g: Mat, powers: Optional[list] = None) -> list[int]:
+    def char_poly_full(self, g: Mat) -> list[int]:
         """Coefficients of det(xI - g), lowest degree first, monic.  At
-        n >= 4 they come from the power traces of [I, g, ..., g^n]:
-        `powers` when given, else power_list(g, n)."""
+        n >= 4 they come from the power traces of power_list(g, n)."""
         n, p = self.n, self.p
         if n == 2:
             return [(g[0] * g[3] - g[1] * g[2]) % p, (-(g[0] + g[3])) % p, 1]
@@ -290,8 +288,7 @@ class SpecialLinear:
             e3 = self.det(g)
             return [(-e3) % p, e2, (-e1) % p, 1]
         # Newton's identities on power traces; valid since p > n
-        if powers is None:
-            powers = self.power_list(g, n)
+        powers = self.power_list(g, n)
         ptr = [self.trace(powers[i]) for i in range(n + 1)]
         es = [1] + [0] * n
         field = self.field
@@ -418,7 +415,9 @@ class SpecialLinear:
 
     def random_element(self, rng) -> Mat:
         """Uniform element: random invertible matrix, then the last
-        column is scaled by 1/det (column reduction to determinant one)."""
+        column is scaled by 1/det (column reduction to determinant one).
+        The per-call reference for elements(rng), which draws the same
+        stream in blocks."""
         n, p = self.n, self.p
         while True:
             entries = [rng.randrange(p) for _ in range(n * n)]
@@ -430,78 +429,65 @@ class SpecialLinear:
             entries[i * n + n - 1] = (entries[i * n + n - 1] * di) % p
         return tuple(entries)
 
+    def elements(self, rng):
+        """Endless stream of (g, char_poly_full(g)): the elements that
+        repeated random_element(rng) calls return, in the same order.
+        The stream draws ahead of what it yields: give it a generator
+        that nothing else reads."""
+        n = self.n
+        for mats, coeffs in self._element_blocks(rng, SPLIT_BLOCK):
+            yield from zip(map(tuple, mats.reshape(-1, n * n).tolist()), coeffs.tolist())
+
     def split_regulars(self, rng):
         """Endless stream of (g, eigenvalues sorted ascending) for split
         regular semisimple g: the elements that repeated
         random_element(rng) calls filtered by split_eigenvalues yield.
 
-        Each block's entries are the values of consecutive
-        rng.randrange(p) calls, read from whole generator words by
-        draws.randrange_runs, and its candidates are classified in numpy.
-        The stream draws ahead of what it yields: give it a generator
-        that nothing else reads.  Raises ValueError after SPLIT_MAX_TRIES
-        candidates in a row are rejected.
+        A candidate splits iff its charpoly, evaluated at every x through
+        powers[k, x] = x^k mod p, has n zeros; one matmul classifies a
+        block.  The stream draws ahead of what it yields: give it a
+        generator that nothing else reads.  Raises ValueError after
+        SPLIT_MAX_TRIES candidates in a row are rejected.
         """
-        # imported here, so that only the runs that sample load it
-        from .draws import randrange_runs
-
         n, p = self.n, self.p
         block = min(SPLIT_BLOCK, SPLIT_SCAN_ENTRIES // p)
         powers = np.ones((n + 1, p), dtype=np.int64)  # x^k mod p, every x
         for k in range(1, n + 1):
             powers[k] = powers[k - 1] * np.arange(p) % p
         misses = 0
-        for draws in randrange_runs(rng, p, block * n * n):
-            for found in self._split_block(draws, powers):
-                if found is not None:
+        for mats, coeffs in self._element_blocks(rng, block):
+            values = np.matmul(coeffs, powers)
+            values %= p
+            roots = values == 0
+            split = roots.sum(axis=1) == n
+            found = zip(map(tuple, mats.reshape(-1, n * n)[split].tolist()),
+                        (np.flatnonzero(row).tolist() for row in roots[split]))
+            for ok in split.tolist():
+                if ok:
                     misses = 0
-                    yield found
+                    yield next(found)
                     continue
                 misses += 1
                 if misses == SPLIT_MAX_TRIES:
                     # SL_2(F_3), for one, has no split regular element
                     raise ValueError("no split regular element found; field too small?")
 
-    def _split_block(self, draws: list, powers: np.ndarray) -> list:
-        """The candidates of one block of draws, in order: each chunk of
-        n*n draws with det != 0 (random_element draws singular ones
-        again), its last column scaled by 1/det, gives (g, eigenvalues)
-        when g is split regular and None otherwise.  A candidate splits
-        iff its charpoly, evaluated at every x through powers[k, x] =
-        x^k mod p, has n zeros."""
-        n, p = self.n, self.p
-        mats = np.array(draws, dtype=np.int64).reshape(-1, n, n)
-        det = char_poly_batch(mats, p)[:, 0] * (-1) ** n % p
-        mats = mats[det != 0]
-        scale = [self.field.inv(d) for d in det[det != 0].tolist()]
-        mats[:, :, n - 1] = mats[:, :, n - 1] * np.array(scale, dtype=np.int64)[:, None] % p
-        values = np.matmul(char_poly_batch(mats, p), powers)
-        values %= p
-        roots = values == 0
-        split = roots.sum(axis=1) == n
-        found = zip(map(tuple, mats.reshape(-1, n * n)[split].tolist()),
-                    (np.flatnonzero(row).tolist() for row in roots[split]))
-        return [next(found) if ok else None for ok in split.tolist()]
+    def _element_blocks(self, rng, block: int):
+        """Endless stream of (mats, charpolys), random_element's draws
+        in bulk.  Each block of block*n*n consecutive rng.randrange(p)
+        values, read from whole generator words by
+        draws.randrange_runs, is cut into n x n chunks; the chunks with
+        det != 0 (random_element draws singular ones again), their last
+        column scaled by 1/det, form the int64 stack mats, and
+        charpolys holds their char_poly_batch rows."""
+        # imported here, so that only the runs that sample load it
+        from .draws import randrange_runs
 
-    def regular_semisimples(self, rng):
-        """Endless stream of (g, char_poly_full(g), power_list(g, n)) for
-        regular semisimple g, drawn by repeated random_element(rng)
-        calls; at n >= 4 the charpoly is read from those powers, so they
-        are built once.  It draws one candidate at a time and nothing
-        ahead of what it yields, so the caller may draw from rng between
-        items.  Raises RuntimeError after REGULAR_MAX_TRIES candidates in
-        a row are rejected.
-        """
-        n = self.n
-        misses = 0
-        while True:
-            g = self.random_element(rng)
-            powers = self.power_list(g, n) if n >= 4 else None
-            full = self.char_poly_full(g, powers)
-            if polys.is_squarefree(full, self.field):
-                misses = 0
-                yield g, full, powers or self.power_list(g, n)
-                continue
-            misses += 1
-            if misses == REGULAR_MAX_TRIES:
-                raise RuntimeError("no regular semisimple element found; tiny field?")
+        n, p = self.n, self.p
+        for draws in randrange_runs(rng, p, block * n * n):
+            mats = np.array(draws, dtype=np.int64).reshape(-1, n, n)
+            det = char_poly_batch(mats, p)[:, 0] * (-1) ** n % p
+            mats = mats[det != 0]
+            scale = [self.field.inv(d) for d in det[det != 0].tolist()]
+            mats[:, :, n - 1] = mats[:, :, n - 1] * np.array(scale, dtype=np.int64)[:, None] % p
+            yield mats, char_poly_batch(mats, p)

@@ -134,9 +134,9 @@ def rational_roots(f: list, field: PrimeField) -> list[int]:
     """All roots in Z/pZ in ascending order, by direct scan (desk-scale p).
 
     lemma-check's lindep witnesses do not come through here: their
-    candidates, from the same seeded stream, are classified in numpy
-    blocks by `SpecialLinear.split_regulars`, one table of values at
-    every residue per block.
+    candidates, blocks of SpecialLinear's seeded element stream, are
+    classified in numpy by `SpecialLinear.split_regulars`, one table of
+    values at every residue per block.
     """
     return [x for x in range(field.p) if evaluate(f, x, field.p) == 0]
 

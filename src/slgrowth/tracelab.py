@@ -322,7 +322,7 @@ def lindep_checks(field: PrimeField, block: list) -> list[bool]:
     always dependent, being n+1 forms on the n-dimensional diagonal, so
     there is nothing to check there.  One omit_one_dets call serves the
     whole block."""
-    # counted like _split_block's roots: an .all() here paged in 64 KB more of numpy
+    # counted like split_regulars' roots: an .all() here paged in 64 KB more of numpy
     zeros = (omit_one_dets(block, field.p) == 0).sum(axis=1).tolist()
     return [zero_count == 0 for zero_count in zeros]
 

@@ -375,10 +375,15 @@ def dyadic_bins_oracle(space, t, members):
     return {jvec: frozenset(b) for jvec, b in bins.items()}
 
 
-def regular_semisimple(space, rng):
-    """The next regular semisimple g among space.random_element(rng)
-    draws; the stream draws nothing past it."""
-    return next(space.regular_semisimples(rng))[0]
+def regular_semisimple(space, rng, max_tries=10_000):
+    """The next regular semisimple g among repeated
+    space.random_element(rng) draws, one candidate at a time; nothing
+    past it is drawn."""
+    for _ in range(max_tries):
+        g = space.random_element(rng)
+        if space.is_regular_semisimple(g):
+            return g
+    raise RuntimeError("no regular semisimple element found; tiny field?")
 
 
 def split_regular_oracle(space, rng, max_tries=20_000):

@@ -25,6 +25,8 @@ PACKAGE = Path(slgrowth.__file__).resolve().parent
 KEPT = {
     "ClosureMembers._from_iterable": "Set protocol: the set operators build their results with it",
     "SpecialLinear.classify_semisimple": "perfbench/kernels.py times it",
+    "SpecialLinear.random_element": "the per-call reference for elements; "
+                                    "tests and perfbench/kernels.py call it",
     "class_tuple": "perfbench/traced.py looks it up in slgrowth.cli",
     "trace_tuple": "perfbench/traced.py looks it up in slgrowth.cli",
     "fiber_bound_check": "paper API: the fiber bound, checked by the acceptance tests",

@@ -296,6 +296,27 @@ def test_assemble_tiny_forced_fiber():
     assert inst.fibers.excluded_witnesses == ()
 
 
+def test_vital_screens_every_witness_in_one_call(monkeypatch, capsys, tmp_path):
+    """One lindep_checks call covers all of D's witnesses, in sorted order."""
+    blocks = []
+    checks = energy_mod.lindep_checks
+
+    def spy(field, block):
+        blocks.append(block)
+        return checks(field, block)
+
+    monkeypatch.setattr(energy_mod, "lindep_checks", spy)
+    space, A, D = build_sl2_f11_instance()
+    assemble_vital_instance(A, D, 2)
+    assert blocks == [[space.split_eigenvalues(t) for t in D.sorted_members()]]
+    blocks.clear()
+    argv = ["vital", "--n", "2", "--p", "11", "--radius", "2", "--k", "2",
+            "--seed", "6", "--out", str(tmp_path / "vital.csv")]
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    assert len(blocks) == 1 and len(blocks[0]) > 1
+
+
 # ---------------------------------------------------------------------------
 # diagnostics
 

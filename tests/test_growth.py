@@ -203,7 +203,7 @@ def test_growth_scan_full_group_saturates():
 
 def test_growth_scan_identity_degenerate():
     space = SpecialLinear(2, 5)
-    report = growth_scan(singleton(space, space.identity()), check_generation=False)
+    report = growth_scan(singleton(space, space.identity()))
     assert report.degenerate
     assert report.epsilon_hat == 0.0
 

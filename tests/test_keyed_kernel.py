@@ -115,8 +115,11 @@ def test_word_ball_and_growth_scan_match(monkeypatch, n, p):
     A = word_ball(standard_generators(space), 2)
     balls = on_both_paths(monkeypatch, lambda: word_ball(A, 4))
     assert balls[0] == balls[1]
+    # a budget below |SL_3(F_5)| = 372,000 leaves generation unchecked at n = 3
+    budget = Budget(max_elements=100_000) if n > 2 else Budget()
     reports = on_both_paths(
-        monkeypatch, lambda: growth_scan(A, ks=[1, 3, 5], check_generation=n == 2))
+        monkeypatch, lambda: growth_scan(A, ks=[1, 3, 5], budget=budget))
+    assert reports[0].generation_checked == (n == 2)
     assert reports[0] == reports[1]
 
 

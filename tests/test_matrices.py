@@ -14,7 +14,7 @@ from slgrowth import (
     SpecialLinear,
     full_group,
 )
-from slgrowth import cli, draws, polys
+from slgrowth import cli, draws
 from slgrowth.matrices import SPLIT_BLOCK, SPLIT_SCAN_ENTRIES, char_poly_batch
 
 from oracles import (
@@ -370,29 +370,12 @@ def test_random_regular_semisimple():
             assert space.is_regular_semisimple(g)
 
 
-@pytest.mark.parametrize("n,p", [(2, 5), (3, 7), (4, 11), (5, 13)])
-def test_regular_semisimples_yield_charpoly_and_powers(n, p):
-    """The same g as one random_element draw at a time filtered by the
-    squarefree test, each with its charpoly and [I, g, ..., g^n]."""
-    space = sl(n, p)
-    oracle_rng = Random(n * p)
-    want = []
-    while len(want) < 20:
-        g = space.random_element(oracle_rng)
-        if polys.is_squarefree(charpoly_oracle(n, p, g), space.field):
-            want.append(g)
-    stream = space.regular_semisimples(Random(n * p))
-    for g, (got, full, powers) in zip(want, stream):
-        assert got == g
-        assert full == charpoly_oracle(n, p, g)
-        assert powers == space.power_list(g, n)
-
-
 @pytest.mark.parametrize("n", [3, 4])
 def test_f_identity_builds_the_powers_of_t_once(monkeypatch, n):
-    """At n >= 4 the charpoly that draws t is read from t's powers, and
-    the f-identity check reuses them: one power_list per candidate."""
-    calls = {"power_list": 0, "char_poly_full": 0}
+    """Each f-identity trial reads t, g and t's charpoly from the
+    element stream and builds the powers of t once: one power_list
+    call, no char_poly_full call and no random_element call."""
+    calls = {"power_list": 0, "char_poly_full": 0, "random_element": 0}
     for name in calls:
         method = getattr(SpecialLinear, name)
 
@@ -404,10 +387,7 @@ def test_f_identity_builds_the_powers_of_t_once(monkeypatch, n):
     trials = 40
     passes, ran = cli.f_identity_suite(n, 31, trials, Random(2))
     assert passes == ran == trials
-    if n >= 4:
-        assert calls["power_list"] == calls["char_poly_full"] >= trials
-    else:
-        assert calls["power_list"] == trials
+    assert calls == {"power_list": trials, "char_poly_full": 0, "random_element": 0}
 
 
 # ---------------------------------------------------------------------------
@@ -467,6 +447,21 @@ def test_split_regulars_is_the_sequential_stream(n, p, count):
         assert list(itertools.islice(space.split_regulars(Random(seed)), count)) == want
 
 
+@pytest.mark.parametrize("n,p", [(2, 3), (2, 5), (2, 7), (3, 7), (3, 31), (4, 11),
+                                 (4, 101), (2, 257), (3, 17), (5, 13)])
+def test_elements_is_the_sequential_stream(n, p):
+    """Same elements in the same order as one random_element call at a
+    time, each with its charpoly; the counts span several blocks."""
+    space = sl(n, p)
+    count = 3 * SPLIT_BLOCK + 5
+    for seed in (0, 1):
+        oracle_rng = Random(seed)
+        want = [space.random_element(oracle_rng) for _ in range(count)]
+        got = list(itertools.islice(space.elements(Random(seed)), count))
+        assert [g for g, _ in got] == want
+        assert [full for _, full in got] == [charpoly_oracle(n, p, g) for g in want]
+
+
 class WordsOnly(Random):
     """A generator whose per-call randrange fails: a sampler given one
     must read its entries from getrandbits words."""
@@ -483,6 +478,17 @@ def test_split_regulars_read_whole_words(monkeypatch):
     oracle_rng = Random(7)
     want = [split_regular_oracle(space, oracle_rng) for _ in range(20)]
     assert list(itertools.islice(space.split_regulars(WordsOnly(7)), 20)) == want
+
+
+def test_elements_read_whole_words(monkeypatch):
+    """The element stream makes no per-entry randrange call and no
+    numpy call on its draw path."""
+    monkeypatch.setattr(draws, "np", None)
+    space = sl(4, 101)
+    oracle_rng = Random(7)
+    want = [space.random_element(oracle_rng) for _ in range(100)]
+    got = [g for g, _ in itertools.islice(space.elements(WordsOnly(7)), 100)]
+    assert got == want
 
 
 def test_split_regulars_bound_the_root_table_at_wide_p():
