@@ -544,7 +544,7 @@ def run(cfg: ExperimentConfig, subcommand: str) -> RunManifest:
             info = _DISPATCH[subcommand](cfg, outputs)
         except BudgetExceeded as exc:
             status, error = "budget-exceeded", str(exc)
-            info = {"partial_count": exc.partial_count}
+            info = {"stage": exc.stage, "partial_count": exc.partial_count}
         except Indeterminate as exc:
             status, error = "budget-exceeded", str(exc)
         except GenerationFailed as exc:

@@ -17,7 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .field import PrimeField
-from .growth import Budget, DEFAULT_BUDGET, ElementSet, word_ball
+from .growth import Budget, DEFAULT_BUDGET, ElementSet, check_deadline, word_ball
 from .matrices import Mat
 from .tracelab import (
     NoBins,
@@ -138,7 +138,8 @@ def assemble_vital_instance(A: ElementSet, D: ElementSet, pool_radius: int,
     exceptional-set exclusion) and screened-out ones are recorded, not
     fatal.  X collects tr(t^i a) over each witness's most popular bin,
     Y collects the coefficient vectors f(t), and the fiber of f(t) holds
-    the realized tuples (tr(a), ..., tr(t^{n-1} a)).
+    the realized tuples (tr(a), ..., tr(t^{n-1} a)).  The budget's
+    seconds hold for the witness loop too, checked once per witness.
     """
     space = A.space
     if D.space != space:
@@ -159,7 +160,9 @@ def assemble_vital_instance(A: ElementSet, D: ElementSet, pool_radius: int,
 
     x_values: set = set()
     assignments: dict = {}
-    for t in kept:
+    deadline = budget.start_clock()
+    for done, t in enumerate(kept):
+        check_deadline(done, budget, deadline, "vital witnesses")
         table = shift_table(t, pool)
         try:
             popular = popular_tuple(dyadic_bins(t, pool, table))

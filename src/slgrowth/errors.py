@@ -16,13 +16,15 @@ class NotInGroup(SlgrowthError):
 class BudgetExceeded(SlgrowthError):
     """An expansion blew past the configured element or time budget.
 
-    partial_count records how many elements were stored when the
-    budget tripped, so callers can report progress honestly.
+    stage names the expansion or loop that tripped, and partial_count
+    records how far it got (elements stored, or witnesses done), so
+    callers can report progress honestly.
     """
 
-    def __init__(self, message, partial_count=0):
+    def __init__(self, message, partial_count=0, stage=None):
         super().__init__(message)
         self.partial_count = partial_count
+        self.stage = stage
 
 
 class Indeterminate(SlgrowthError):

@@ -1,17 +1,18 @@
 """Product-set expansion: word balls, triple products, growth reports.
 
 The working objects are ElementSets, deduplicated collections of group
-elements over one ambient SL_n(F_p).  A_r is computed left-to-right as
-S * A_{r-1} with S = A u A^{-1} u {1}; the triple product A*A*A is
-(A*A)*A with deduplication after every stage and no symmetrization.
+elements over one ambient SL_n(F_p).  A_r is computed as A_{r-1} * S
+with S = A u A^{-1} u {1}, which is S^r = S * A_{r-1} as S is symmetric
+and holds 1; the triple product A*A*A is (A*A)*A with deduplication
+after every stage and no symmetrization.
 
 Word balls and subgroup closures are breadth-first expansions with two
 interchangeable engines that give the same sets:
 
 - the keyed kernel (_KeyedExpander) encodes a matrix as the integer key
-  sum_i a_i p^(n^2-1-i) of its row-major entries, multiplies frontier
-  chunks by the generators with numpy and deduplicates through a
-  bit-packed bitmap over all p^(n^2) keys;
+  sum_i a_i p^(n^2-1-i) of its row-major entries, forms products by
+  row-table lookups and deduplicates through a bit-packed bitmap over
+  all p^(n^2) keys;
 - the tuple path (_TupleExpander) multiplies canonical tuples one pair
   at a time into a Python set.  It is the reference the kernel is
   tested against.
@@ -46,8 +47,9 @@ DEFAULT_MAX_ELEMENTS = 20_000_000
 
 # Keyed expansion kernel (see _KeyedExpander): a seen-bitmap of at most
 # 2 MiB (the cap must stay below 2^31 keys), at most 1024 bitmap bits
-# per element the expansion may reach, and chunks of about 2^15 products
-# per matmul (and 2^15 keys per decoding pass) to bound temporaries.
+# per element the expansion may reach, and about 2^15 products (table
+# entries, keys decoded) per chunk to bound temporaries, with one
+# deadline check per chunk of products.
 KEYED_MAX_KEYS = 1 << 24
 KEYED_BITS_PER_ELEMENT = 1024
 CHUNK_PRODUCTS = 1 << 15
@@ -133,13 +135,11 @@ class _TupleExpander:
     """Breadth-first expansion one tuple product at a time.
 
     The reference path: the seen set holds the canonical tuples and a
-    shell is a list of tuples.  `left` multiplies as s*x (word balls),
-    otherwise as x*s (closures).
+    shell is a list of tuples.
     """
 
-    def __init__(self, space: SpecialLinear, start, left: bool):
+    def __init__(self, space: SpecialLinear, start):
         self.mul = space.mul
-        self.left = left
         self.start = list(start)
         self.seen = set(self.start)
 
@@ -149,17 +149,20 @@ class _TupleExpander:
     def join(self, shells) -> list:
         return list(chain.from_iterable(shells))
 
-    def step(self, frontier, gens) -> list:
+    def step(self, frontier, gens, tick) -> list:
         """The products of the frontier with the generators not seen
-        before; marks them seen."""
+        before; marks them seen.  tick(found) follows every chunk."""
         mul, seen = self.mul, self.seen
+        size = max(1, CHUNK_PRODUCTS // max(1, len(gens)))
         fresh = []
-        for x in frontier:
-            for s in gens:
-                y = mul(s, x) if self.left else mul(x, s)
-                if y not in seen:
-                    seen.add(y)
-                    fresh.append(y)
+        for lo in range(0, len(frontier), size):
+            for x in frontier[lo : lo + size]:
+                for s in gens:
+                    y = mul(x, s)
+                    if y not in seen:
+                        seen.add(y)
+                        fresh.append(y)
+            tick(len(fresh))
         return fresh
 
     def members(self, shells) -> frozenset:
@@ -170,23 +173,24 @@ class _KeyedExpander:
     """Breadth-first expansion by numpy over integer element keys.
 
     The key of a matrix is its row-major entries read as base-p digits,
-    sum_i a_i p^(n^2-1-i), so key order is canonical tuple order.  A
-    shell is a key array.  Each step multiplies a chunk of the frontier
-    by all generators in one batched matmul, drops the products whose
-    bit in the seen-bitmap (one bit per key, p^(n^2) bits) is set,
-    deduplicates the rest by sorting and sets their bits.  Keys become
-    tuples again only in `members`.
+    sum_i a_i p^(n^2-1-i), so key order is canonical tuple order and the
+    base-p^n digits are the rows' keys.  A shell is a key array.  Row i
+    of x*s is (row i of x)*s, so a step tables u*s for the frontier's
+    distinct rows u and a block of generators s, and a product's key is
+    n lookups.  It drops the products whose bit in the seen-bitmap (one
+    bit per key, p^(n^2) bits) is set, deduplicates the rest by sorting
+    and sets their bits.  Keys become tuples again only in `members`.
 
-    Keys and entries are int32: keys stay below p^(n^2) <= KEYED_MAX_KEYS
-    and matmul sums below n p^2 <= KEYED_MAX_KEYS, both under 2^31, and
-    int32 halves the cost of the matmul and of the reduction mod p.
+    All is int32: keys stay below p^(n^2) <= KEYED_MAX_KEYS < 2^31 and
+    the table's matmul sums below n p^2.
     """
 
-    def __init__(self, space: SpecialLinear, start, left: bool):
+    def __init__(self, space: SpecialLinear, start):
         n, p = space.n, space.p
-        self.n, self.p = n, p
-        self.left = left
+        self.n, self.p, self.rows = n, p, p**n
         self.weights = p ** np.arange(n * n - 1, -1, -1, dtype=np.int32)
+        self.places = self.weights[n - 1 :: n].tolist()  # of each row in a key
+        self.row_digits = np.arange(self.rows, dtype=np.int32)[:, None] // self.weights[-n:] % p
         self.seen = np.zeros(-(-(p ** (n * n)) // 8), dtype=np.uint8)
         self.start = self._encode(start)
         self._mark(self.start)
@@ -194,13 +198,20 @@ class _KeyedExpander:
     def _encode(self, mats) -> np.ndarray:
         return np.array(list(mats), dtype=np.int32).reshape(-1, self.n**2) @ self.weights
 
-    def _digits(self, keys) -> np.ndarray:
-        """Keys as an (m, n, n) array of matrix entries."""
-        n = self.n
-        return (keys[:, None] // self.weights % self.p).reshape(-1, n, n)
-
     def _mark(self, keys):
-        np.bitwise_or.at(self.seen, keys >> 3, (1 << (keys & 7)).astype(np.uint8))
+        """Set the bits of distinct unseen keys (add.at, the fast one)."""
+        np.add.at(self.seen, keys >> 3, (1 << (keys & 7)).astype(np.uint8))
+
+    def _rows(self, keys) -> list:
+        """The row keys of each key, top row first."""
+        return [keys // w % self.rows for w in self.places]
+
+    def _table(self, digits, gens) -> np.ndarray:
+        """table[u, s]: the row key of row digits[u] times gens[s]."""
+        n, p = self.n, self.p
+        prod = digits @ gens.transpose(1, 0, 2).reshape(n, -1)
+        prod -= prod // p * p  # int32 // beats %
+        return (prod.reshape(-1, n) @ self.weights[-n:]).reshape(len(digits), -1)
 
     def __contains__(self, g) -> bool:
         key = int(self._encode([g])[0])
@@ -209,24 +220,37 @@ class _KeyedExpander:
     def join(self, shells) -> np.ndarray:
         return np.concatenate(shells)
 
-    def step(self, frontier, gens) -> np.ndarray:
+    def step(self, frontier, gens, tick) -> np.ndarray:
         """Keys of the products of the frontier with the generators not
         seen before, sorted within each chunk; marks them seen."""
-        gens, p = self._digits(self._encode(gens)), self.p
-        size = max(1, CHUNK_PRODUCTS // max(1, len(gens)))
-        fresh = []
-        for lo in range(0, len(frontier), size):
-            x = self._digits(frontier[lo : lo + size])
-            if self.left:
-                prod = np.matmul(gens[:, None], x[None])
-            else:
-                prod = np.matmul(x[:, None], gens[None])
-            prod = prod.reshape(-1, self.n**2)
-            keys = (prod - prod // p * p) @ self.weights  # int32 // beats %
-            keys = np.sort(keys[(self.seen[keys >> 3] >> (keys & 7)) & 1 == 0])
-            keys = keys[np.diff(keys, prepend=-1) != 0]
-            self._mark(keys)
-            fresh.append(keys)
+        n, rows = self.n, self.rows
+        present = np.zeros(rows, dtype=bool)
+        for lo in range(0, len(frontier), CHUNK_PRODUCTS):
+            for r in self._rows(frontier[lo : lo + CHUNK_PRODUCTS]):
+                present[r] = True
+        index = np.cumsum(present, dtype=np.int32) - 1  # row key -> its table row
+        digits = np.compress(present, self.row_digits, axis=0)
+        gens = np.array(list(gens), dtype=np.int32).reshape(-1, n, n)
+        block = max(1, CHUNK_PRODUCTS // max(1, len(digits)))
+        fresh, found = [], 0
+        for b in range(0, len(gens), block):
+            table = self._table(digits, gens[b : b + block])
+            size = max(1, CHUNK_PRODUCTS // table.shape[1])
+            for lo in range(0, len(frontier), size):
+                # np.take and np.compress: several times faster than [] here
+                first, *rest = self._rows(frontier[lo : lo + size])
+                keys = np.take(table, index[first], axis=0)
+                for r in rest:
+                    keys *= rows
+                    keys += np.take(table, index[r], axis=0)
+                keys = keys.ravel()
+                keys = np.sort(np.compress(
+                    (np.take(self.seen, keys >> 3) >> (keys & 7)) & 1 == 0, keys))
+                keys = np.compress(np.diff(keys, prepend=-1) != 0, keys)
+                self._mark(keys)
+                fresh.append(keys)
+                found += len(keys)
+                tick(found)
         return np.concatenate(fresh) if fresh else frontier[:0]
 
     def members(self, shells) -> frozenset:
@@ -256,11 +280,17 @@ def _check_budget(count, budget: Budget, deadline, what: str):
     if count > budget.max_elements:
         raise BudgetExceeded(
             f"{what} exceeded {budget.max_elements} stored elements",
-            partial_count=count,
+            partial_count=count, stage=what,
         )
+    check_deadline(count, budget, deadline, what)
+
+
+def check_deadline(count, budget: Budget, deadline, what: str):
+    """Trip stage `what`, `count` (elements, witnesses) in, past the deadline."""
     if deadline is not None and time.monotonic() > deadline:
         raise BudgetExceeded(
-            f"{what} exceeded {budget.max_seconds} seconds", partial_count=count
+            f"{what} exceeded {budget.max_seconds} seconds",
+            partial_count=count, stage=what,
         )
 
 
@@ -290,14 +320,15 @@ def _ball_shells(A: ElementSet, radius: int, budget: Budget):
     seed = sorted(symmetrized(A).members)
     order = space.order()
     bound = _word_bound(len(seed), radius, order)
-    grow = _expander(space, bound)(space, seed, left=True)
+    grow = _expander(space, bound)(space, seed)
     shells = [grow.start]
     count = len(seed)
     _check_budget(count, budget, deadline, "word ball")
     sizes = {1: count}
     for r in range(2, radius + 1):
         if len(shells[-1]) and count < order:
-            shells.append(grow.step(shells[-1], seed))
+            shells.append(grow.step(shells[-1], seed, lambda found: check_deadline(
+                count + found, budget, deadline, "word ball")))
             count += len(shells[-1])
             _check_budget(count, budget, deadline, "word ball")
         sizes[r] = count
@@ -391,7 +422,7 @@ def generated_closure(space: SpecialLinear, A: Optional[ElementSet] = None,
             f"{budget.max_elements}"
         )
     deadline = budget.start_clock()
-    grow = _expander(space, order)(space, [space.identity()], left=False)
+    grow = _expander(space, order)(space, [space.identity()])
     shells = [grow.start]
     count = 1
     active: list = []
@@ -404,7 +435,8 @@ def generated_closure(space: SpecialLinear, A: Optional[ElementSet] = None,
         active.extend(pair)
         frontier, over = grow.join(shells), pair
         while len(frontier):
-            frontier = grow.step(frontier, over)
+            frontier = grow.step(frontier, over, lambda found: check_deadline(
+                count + found, budget, deadline, "subgroup closure"))
             shells.append(frontier)
             count += len(frontier)
             if count == order:

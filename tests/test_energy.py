@@ -1,5 +1,7 @@
 """Additive energy, dilation, fiber families, and vital diagnostics."""
 
+import json
+import time
 from collections import Counter
 from fractions import Fraction
 from math import log
@@ -315,6 +317,31 @@ def test_vital_screens_every_witness_in_one_call(monkeypatch, capsys, tmp_path):
     assert cli.main(argv) == 0
     capsys.readouterr()
     assert len(blocks) == 1 and len(blocks[0]) > 1
+
+
+def test_vital_witness_loop_honours_budget_secs(monkeypatch, capsys, tmp_path):
+    """A witness that outlasts --budget-secs stops the loop at the next
+    witness: exit 3 and one manifest that names the stage, no files."""
+    calls = []
+    shift_table = energy_mod.shift_table
+
+    def slow(t, pool):
+        calls.append(t)
+        time.sleep(0.3)
+        return shift_table(t, pool)
+
+    monkeypatch.setattr(energy_mod, "shift_table", slow)
+    target = tmp_path / "vital.csv"
+    argv = ["vital", "--n", "2", "--p", "11", "--radius", "2", "--k", "2",
+            "--seed", "6", "--budget-secs", "0.25", "--out", str(target)]
+    assert cli.main(argv) == 3
+    out = capsys.readouterr().out
+    manifest = json.loads(out)  # the whole of stdout: exactly one manifest
+    assert manifest["status"] == "budget-exceeded"
+    assert manifest["error"] == "vital witnesses exceeded 0.25 seconds"
+    assert manifest["info"] == {"stage": "vital witnesses", "partial_count": 1}
+    assert len(calls) == 1  # of 16 witnesses
+    assert list(tmp_path.iterdir()) == []
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ to the message and the partial count.
 """
 
 import itertools
+import tracemalloc
 from random import Random
 
 import pytest
@@ -95,9 +96,9 @@ def test_saturated_ball_takes_no_further_step(monkeypatch, p):
     for expander in (_TupleExpander, _KeyedExpander):
         steps = []
 
-        def spy(self, frontier, gens, step=expander.step):
+        def spy(self, frontier, gens, tick, step=expander.step):
             steps.append(len(frontier))
-            return step(self, frontier, gens)
+            return step(self, frontier, gens, tick)
 
         monkeypatch.setattr(growth, "_expander", lambda space, count, e=expander: e)
         monkeypatch.setattr(expander, "step", spy)
@@ -235,9 +236,9 @@ def test_closure_steps_only_over_generators_that_add_something(monkeypatch, expa
     steps = []
 
     class Spy(expander):
-        def step(self, frontier, gens):
+        def step(self, frontier, gens, tick):
             steps.append((len(frontier), len(gens)))
-            return super().step(frontier, gens)
+            return super().step(frontier, gens, tick)
 
     monkeypatch.setattr(growth, "_expander", lambda space, count: Spy)
     assert len(ball) == 36 and generates(ball)
@@ -328,3 +329,179 @@ def test_path_choice_by_key_space_against_element_count():
                 for n, p in ((2, 37), (3, 7), (3, 11), (3, 13), (3, 17))
                 if p ** (n * n) > growth.KEYED_MAX_KEYS)
     assert growth._expander(wide, wide.order()) is _TupleExpander
+
+
+# ---------------------------------------------------------------------------
+# the row-table step against the tuple step, shell by shell
+
+
+def steps_of(monkeypatch, expander, run):
+    """run() with the engine forced, and every step's new elements as a
+    set, in order."""
+    shells = []
+
+    class Spy(expander):
+        def step(self, frontier, gens, tick):
+            fresh = super().step(frontier, gens, tick)
+            shells.append(self.members([fresh]))
+            return fresh
+
+    with monkeypatch.context() as m:
+        m.setattr(growth, "_expander", lambda space, count: Spy)
+        return run(), shells
+
+
+def assert_steps_match(monkeypatch, run):
+    """The keyed and the tuple engine add the same set at every step."""
+    (_, tuple_shells), (result, keyed_shells) = (
+        steps_of(monkeypatch, e, run) for e in (_TupleExpander, _KeyedExpander))
+    assert keyed_shells == tuple_shells
+    return result, keyed_shells
+
+
+def assert_balls_are_oracle(monkeypatch, A, radius):
+    (grow, shells, sizes), _ = assert_steps_match(
+        monkeypatch, lambda: growth._ball_shells(A, radius, growth.DEFAULT_BUDGET))
+    expected = ball_oracle(A.space, A.members, radius)  # S * B_{r-1}: the other side
+    balls = [grow.members(shells[:r]) for r in range(1, len(shells) + 1)]
+    assert balls == expected[: len(balls)]
+    assert sizes == {r: len(ball) for r, ball in enumerate(expected, 1)}
+
+
+def borel(space):
+    """Diagonal tori and the transvections above the diagonal: a
+    subgroup of order (p - 1)^(n-1) p^(n(n-1)/2)."""
+    n, p = space.n, space.p
+    a = primitive_root(p)
+    gens = []
+    for i in range(n - 1):
+        diag = [[int(r == c) for c in range(n)] for r in range(n)]
+        diag[i][i], diag[i + 1][i + 1] = a, pow(a, -1, p)
+        trans = [[int(r == c or (r, c) == (i, i + 1)) for c in range(n)] for r in range(n)]
+        gens += [space.from_rows(diag), space.from_rows(trans)]
+    return ElementSet.from_matrices(space, gens)
+
+
+# SL_3(F_3) is no space here (p > n), so SL_3(F_7) stands in for it:
+# its balls and small subgroups, as its order is 5.6 million
+DIFF_SPACES = [(2, 5), (2, 13), (2, 61), (3, 5), (3, 7)]
+
+
+@pytest.mark.parametrize("n,p", DIFF_SPACES, ids=[f"SL{n}F{p}" for n, p in DIFF_SPACES])
+def test_row_table_steps_match_tuple_steps(monkeypatch, n, p):
+    space = SpecialLinear(n, p)
+    A = standard_generators(space)
+    radius = {5: 12, 13: 30}.get(p, 6) if n == 2 else 5
+    for seed in (A, random_set(space, Random(n * p), 2)):
+        assert_balls_are_oracle(monkeypatch, seed, radius)
+    # SL_2(F_61) itself is closed in the test below
+    subgroups = [borel(space)] + (
+        [embedded_sl2_in_sl3(space)] if n == 3
+        else [random_set(space, Random(p), 2), A] if p < 61 else [])
+    for gens in subgroups:
+        closure, _ = assert_steps_match(monkeypatch, lambda: generated_closure(space, gens))
+        assert closure.members == closure_oracle(space, gens.members)
+
+
+def test_row_table_steps_over_many_generator_blocks(monkeypatch):
+    """|S| = 340 needs several generator blocks, and the closure of
+    SL_2(F_61) has frontiers wider than CHUNK_PRODUCTS."""
+    space = SpecialLinear(2, 61)
+    S = word_ball(standard_generators(space), 7)
+    assert len(S) == 340
+    tables = []
+    table = _KeyedExpander._table
+    monkeypatch.setattr(_KeyedExpander, "_table",
+                        lambda self, *args: tables.append(1) or table(self, *args))
+    assert_balls_are_oracle(monkeypatch, S, 2)
+    assert len(tables) > 1
+    closure, shells = assert_steps_match(monkeypatch, lambda: generated_closure(space))
+    assert len(closure) == space.order()
+    assert max(map(len, shells)) > growth.CHUNK_PRODUCTS
+
+
+@pytest.mark.parametrize("chunk", [1, 5, 64])
+def test_row_table_steps_in_small_chunks(monkeypatch, chunk):
+    """CHUNK_PRODUCTS far below the frontiers: one generator per block,
+    frontiers split into many chunks, the last one short."""
+    monkeypatch.setattr(growth, "CHUNK_PRODUCTS", chunk)
+    for n, p in ((2, 13), (3, 5)):
+        space = SpecialLinear(n, p)
+        A = standard_generators(space)
+        assert_balls_are_oracle(monkeypatch, word_ball(A, 2), 4 if n == 2 else 3)
+        gens = A if n == 2 else embedded_sl2_in_sl3(space)
+        closure, _ = assert_steps_match(monkeypatch, lambda: generated_closure(space, gens))
+        assert closure.members == closure_oracle(space, gens.members)
+
+
+# ---------------------------------------------------------------------------
+# deadlines inside a layer, and the step's memory
+
+
+class StoppedClock:
+    """time for growth: the clock reads 0 until `now` is moved."""
+
+    now = 0.0
+
+    def monotonic(self):
+        return self.now
+
+
+@pytest.mark.parametrize("stage", ["word ball", "subgroup closure"])
+@pytest.mark.parametrize("expander", [_TupleExpander, _KeyedExpander])
+def test_deadline_trips_after_the_first_chunk_of_a_layer(monkeypatch, expander, stage):
+    """A deadline that passes as a layer wider than one chunk starts
+    trips after that layer's first chunk, with the elements stored up
+    to then."""
+    space = SpecialLinear(2, 61)
+    S = word_ball(standard_generators(space), 7)
+    clock = StoppedClock()
+    stored, ticks, wide = [], [], []
+
+    class Spy(expander):
+        def step(self, frontier, gens, tick):
+            if not stored:
+                stored.append(len(self.start))  # the seed, stored before any step
+            if len(frontier) * len(gens) > growth.CHUNK_PRODUCTS:
+                clock.now = 10.0  # past the 1 s deadline
+                wide.append(len(frontier) * len(gens))
+
+            def spy(found):
+                ticks.append(found)
+                tick(found)
+
+            ticks.clear()
+            fresh = super().step(frontier, gens, spy)
+            stored.append(len(fresh))
+            return fresh
+
+    monkeypatch.setattr(growth, "time", clock)
+    monkeypatch.setattr(growth, "_expander", lambda space, count: Spy)
+    budget = Budget(max_seconds=1.0)
+    with pytest.raises(BudgetExceeded) as info:
+        if stage == "word ball":
+            growth._ball_shells(S, 2, budget)
+        else:
+            generated_closure(space, budget=budget)
+    assert info.value.stage == stage
+    assert str(info.value) == f"{stage} exceeded 1.0 seconds"
+    assert len(wide) == 1 and len(ticks) == 1 and 0 < ticks[0]
+    assert info.value.partial_count == sum(stored) + ticks[0]
+    assert ticks[0] <= growth.CHUNK_PRODUCTS < wide[0]
+
+
+def test_ball_step_memory_stays_bounded():
+    """The tracemalloc peak of one step over |S| = 340 generators, the
+    bitmap included, against 3.2 MB for the per-product matmul the row
+    tables replaced (1.7 MB of it is the bitmap)."""
+    space = SpecialLinear(2, 61)
+    S = word_ball(standard_generators(space), 7)
+    growth._ball_shells(S, 2, growth.DEFAULT_BUDGET)  # imports and caches warm
+    tracemalloc.start()
+    try:
+        grow, _, sizes = growth._ball_shells(S, 2, growth.DEFAULT_BUDGET)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert type(grow) is _KeyedExpander and sizes == {1: 340, 2: 10320}
+    assert peak <= 3.2e6
