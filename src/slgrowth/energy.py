@@ -139,7 +139,8 @@ def assemble_vital_instance(A: ElementSet, D: ElementSet, pool_radius: int,
     fatal.  X collects tr(t^i a) over each witness's most popular bin,
     Y collects the coefficient vectors f(t), and the fiber of f(t) holds
     the realized tuples (tr(a), ..., tr(t^{n-1} a)).  The budget's
-    seconds hold for the witness loop too, checked once per witness.
+    seconds hold for the witness loop too, checked before each witness
+    and after every chunk of its shift table.
     """
     space = A.space
     if D.space != space:
@@ -163,7 +164,8 @@ def assemble_vital_instance(A: ElementSet, D: ElementSet, pool_radius: int,
     deadline = budget.start_clock()
     for done, t in enumerate(kept):
         check_deadline(done, budget, deadline, "vital witnesses")
-        table = shift_table(t, pool)
+        table = shift_table(t, pool, lambda _: check_deadline(
+            done, budget, deadline, "vital witnesses"))
         try:
             popular = popular_tuple(dyadic_bins(t, pool, table))
             members = popular.members.members

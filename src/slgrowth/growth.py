@@ -6,8 +6,10 @@ with S = A u A^{-1} u {1}, which is S^r = S * A_{r-1} as S is symmetric
 and holds 1; the triple product A*A*A is (A*A)*A with deduplication
 after every stage and no symmetrization.
 
-Word balls and subgroup closures are breadth-first expansions with two
-interchangeable engines that give the same sets:
+Word balls, subgroup closures and triple products all go through one
+step, the products of a frontier with a list of generators that the
+engine has not seen before, on one of two interchangeable engines that
+give the same sets:
 
 - the keyed kernel (_KeyedExpander) encodes a matrix as the integer key
   sum_i a_i p^(n^2-1-i) of its row-major entries, forms products by
@@ -19,22 +21,24 @@ interchangeable engines that give the same sets:
 
 _expander picks the kernel when the bitmap is at most KEYED_MAX_KEYS
 bits and at most KEYED_BITS_PER_ELEMENT bits per element the expansion
-can reach (|G| for a closure, min(|G|, |S|^radius) for a ball), and the
-tuple path otherwise: for wide key spaces such as SL_3(F_7) and for
-small sets in a large group.  Expansion runs in one thread.
+can reach (|G| for a closure, min(|G|, |S|^radius) for a ball,
+min(|G|, |A|^3) for a triple product), and the tuple path otherwise:
+for wide key spaces such as SL_3(F_7) and for small sets in a large
+group.  Expansion runs in one thread.
 
-A closure takes its generators one at a time, skips those it already
-holds, and decodes its members only when they are iterated or tested
-(ClosureMembers).
+A closure takes its generators one at a time and skips those it already
+holds.  A triple product is two steps, A*A and then (A*A)*A, each on a
+fresh engine with nothing seen.  Each returns an ElementSet that knows
+its size at once and decodes its members on first use; it holds the
+engine's shells, not its seen set or bitmap.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from collections.abc import Set
 from dataclasses import dataclass, field as dc_field
-from functools import cached_property, partial
+from functools import partial
 from itertools import chain
 from typing import Iterable, Optional
 
@@ -76,14 +80,23 @@ class ElementSet:
 
     Members are flat canonical tuples, which makes tuple identity and
     canonical-byte identity the same thing; encoding only happens at
-    serialization boundaries.
+    serialization boundaries.  Word balls, closures and triple products
+    come back with their count and a call that decodes their members:
+    `len` never decodes, and `members` decodes once, on first use.
     """
 
-    __slots__ = ("space", "members")
+    __slots__ = ("space", "_members", "_count")
 
-    def __init__(self, space: SpecialLinear, members: frozenset):
-        self.space = space
-        self.members = members
+    def __init__(self, space: SpecialLinear, members, count: Optional[int] = None):
+        """members: a frozenset, or a call that returns it, with its count."""
+        self.space, self._members = space, members
+        self._count = len(members) if count is None else count
+
+    @property
+    def members(self) -> frozenset:
+        if callable(self._members):
+            self._members = self._members()
+        return self._members
 
     @classmethod
     def from_matrices(cls, space: SpecialLinear, mats: Iterable[Mat]) -> "ElementSet":
@@ -92,7 +105,7 @@ class ElementSet:
         return cls(space, checked)
 
     def __len__(self):
-        return len(self.members)
+        return self._count
 
     def __iter__(self):
         return iter(self.members)
@@ -108,7 +121,7 @@ class ElementSet:
         )
 
     def __repr__(self):
-        return f"ElementSet({self.space!r}, {len(self.members)} elements)"
+        return f"ElementSet({self.space!r}, {len(self)} elements)"
 
     def sorted_members(self) -> list[Mat]:
         """Members in canonical (byte-lexicographic) order."""
@@ -117,7 +130,7 @@ class ElementSet:
     def dump_lines(self) -> list[str]:
         """Element dump: header then one hex-encoded element per line."""
         space = self.space
-        lines = [f"n={space.n} p={space.p} count={len(self.members)}"]
+        lines = [f"n={space.n} p={space.p} count={len(self)}"]
         lines.extend(space.encode(g).hex() for g in self.sorted_members())
         return lines
 
@@ -140,8 +153,11 @@ class _TupleExpander:
 
     def __init__(self, space: SpecialLinear, start):
         self.mul = space.mul
-        self.start = list(start)
+        self.start = self.shell(start)
         self.seen = set(self.start)
+
+    def shell(self, mats) -> list:
+        return list(mats)
 
     def __contains__(self, g) -> bool:
         return g in self.seen
@@ -165,7 +181,8 @@ class _TupleExpander:
             tick(len(fresh))
         return fresh
 
-    def members(self, shells) -> frozenset:
+    @staticmethod
+    def decode_shells(space: SpecialLinear, shells) -> frozenset:
         return frozenset(chain.from_iterable(shells))
 
 
@@ -192,10 +209,11 @@ class _KeyedExpander:
         self.places = self.weights[n - 1 :: n].tolist()  # of each row in a key
         self.row_digits = np.arange(self.rows, dtype=np.int32)[:, None] // self.weights[-n:] % p
         self.seen = np.zeros(-(-(p ** (n * n)) // 8), dtype=np.uint8)
-        self.start = self._encode(start)
+        self.start = self.shell(start)
         self._mark(self.start)
 
-    def _encode(self, mats) -> np.ndarray:
+    def shell(self, mats) -> np.ndarray:
+        """The keys of mats."""
         return np.array(list(mats), dtype=np.int32).reshape(-1, self.n**2) @ self.weights
 
     def _mark(self, keys):
@@ -214,7 +232,7 @@ class _KeyedExpander:
         return (prod.reshape(-1, n) @ self.weights[-n:]).reshape(len(digits), -1)
 
     def __contains__(self, g) -> bool:
-        key = int(self._encode([g])[0])
+        key = int(self.shell([g])[0])
         return bool(self.seen[key >> 3] >> (key & 7) & 1)
 
     def join(self, shells) -> np.ndarray:
@@ -253,17 +271,17 @@ class _KeyedExpander:
                 tick(found)
         return np.concatenate(fresh) if fresh else frontier[:0]
 
-    def members(self, shells) -> frozenset:
+    @staticmethod
+    def decode_shells(space: SpecialLinear, shells) -> frozenset:
+        """The shells' keys back to canonical tuples, decoded column by
+        column in chunks of CHUNK_PRODUCTS keys."""
+        p = space.p
+        weights = [p**i for i in range(space.n**2 - 1, -1, -1)]
         return frozenset(chain.from_iterable(
-            self._tuples(shell[lo : lo + CHUNK_PRODUCTS])
+            zip(*[(shell[lo : lo + CHUNK_PRODUCTS] // w % p).tolist() for w in weights])
             for shell in shells
             for lo in range(0, len(shell), CHUNK_PRODUCTS)
         ))
-
-    def _tuples(self, keys):
-        """Keys back to canonical tuples, decoded column by column."""
-        p = self.p
-        return zip(*[(keys // w % p).tolist() for w in self.weights.tolist()])
 
 
 def _expander(space: SpecialLinear, max_count: int):
@@ -274,6 +292,13 @@ def _expander(space: SpecialLinear, max_count: int):
     if keys <= KEYED_MAX_KEYS and keys <= KEYED_BITS_PER_ELEMENT * max_count:
         return _KeyedExpander
     return _TupleExpander
+
+
+def _element_set(space: SpecialLinear, grow, shells) -> ElementSet:
+    """The union of an expansion's shells, decoded on first use.  The
+    decoder holds the shells and the space, not the engine, so the
+    engine's seen set or bitmap is freed with it."""
+    return ElementSet(space, partial(grow.decode_shells, space, shells), sum(map(len, shells)))
 
 
 def _check_budget(count, budget: Budget, deadline, what: str):
@@ -340,26 +365,22 @@ def word_ball(A: ElementSet, radius: int,
     """A_radius: all products of exactly `radius` factors drawn from
     A u A^{-1} u {1} (monotone in the radius since 1 is a factor)."""
     grow, shells, _ = _ball_shells(A, radius, budget)
-    return ElementSet(A.space, grow.members(shells))
+    return _element_set(A.space, grow, shells)
 
 
 def triple_product(A: ElementSet, budget: Budget = DEFAULT_BUDGET) -> ElementSet:
-    """(A*A)*A with deduplication after each stage, no symmetrization."""
+    """(A*A)*A with deduplication after each stage, no symmetrization.
+    Each stage is one step of a fresh engine with nothing seen; its
+    elements and the deadline are checked after every chunk."""
     space = A.space
-    mul = space.mul
     deadline = budget.start_clock()
-    members = A.sorted_members()
-    aa: set = set()
-    for a in members:
-        for b in members:
-            aa.add(mul(a, b))
-        _check_budget(len(aa), budget, deadline, "double product")
-    aaa: set = set()
-    for ab in aa:
-        for c in members:
-            aaa.add(mul(ab, c))
-        _check_budget(len(aaa), budget, deadline, "triple product")
-    return ElementSet(space, frozenset(aaa))
+    gens = A.sorted_members()
+    engine = _expander(space, min(space.order(), len(gens) ** 3))
+    product = engine(space, ()).shell(gens)
+    for stage in ("double product", "triple product"):
+        product = engine(space, ()).step(product, gens, lambda found: _check_budget(
+            found, budget, deadline, stage))
+    return _element_set(space, engine, [product])
 
 
 def standard_generators(space: SpecialLinear) -> ElementSet:
@@ -376,34 +397,8 @@ def standard_generators(space: SpecialLinear) -> ElementSet:
     )
 
 
-class ClosureMembers(Set):
-    """A closure's members: the size is known at once, and the tuples are
-    decoded on first iteration or membership test into `members`."""
-
-    def __init__(self, count: int, decode):
-        self._count, self._decode = count, decode
-
-    @cached_property
-    def members(self) -> frozenset:
-        decode, self._decode = self._decode, None  # frees the shells after
-        return decode()
-
-    @classmethod
-    def _from_iterable(cls, it) -> frozenset:
-        return frozenset(it)  # what the set operators return
-
-    def __len__(self):
-        return self._count
-
-    def __iter__(self):
-        return iter(self.members)
-
-    def __contains__(self, g):
-        return g in self.members
-
-
 def generated_closure(space: SpecialLinear, A: Optional[ElementSet] = None,
-                      budget: Budget = DEFAULT_BUDGET) -> ClosureMembers:
+                      budget: Budget = DEFAULT_BUDGET) -> ElementSet:
     """Closure of A u A^{-1} under multiplication (the generated
     subgroup), by breadth-first search from the identity.
 
@@ -443,7 +438,7 @@ def generated_closure(space: SpecialLinear, A: Optional[ElementSet] = None,
                 break
             _check_budget(count, budget, deadline, "subgroup closure")
             over = active
-    return ClosureMembers(count, partial(grow.members, shells))
+    return _element_set(space, grow, shells)
 
 
 def full_group(space: SpecialLinear, budget: Budget = DEFAULT_BUDGET) -> ElementSet:
@@ -452,7 +447,7 @@ def full_group(space: SpecialLinear, budget: Budget = DEFAULT_BUDGET) -> Element
     closure = generated_closure(space, budget=budget)
     if len(closure) != space.order():
         raise RuntimeError("standard generators failed to generate; bug")
-    return ElementSet(space, closure.members)
+    return closure
 
 
 def generates(A: ElementSet, budget: Budget = DEFAULT_BUDGET) -> bool:
@@ -521,8 +516,7 @@ def growth_scan(A: ElementSet, ks=(), budget: Budget = DEFAULT_BUDGET) -> Growth
     except Indeterminate:
         pass  # |G| exceeds the closure budget: generation is not checked
     size_a = len(A)
-    aaa = triple_product(A, budget)
-    size_aaa = len(aaa)
+    size_aaa = len(triple_product(A, budget))
     degenerate = size_a <= 1
     if degenerate:
         epsilon_hat = 0.0

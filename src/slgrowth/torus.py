@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import polys
-from .growth import Budget, DEFAULT_BUDGET, ElementSet, _ball_shells
+from .growth import Budget, DEFAULT_BUDGET, ElementSet, _ball_shells, _element_set
 from .matrices import Mat, SpecialLinear
 
 
@@ -80,8 +80,8 @@ def rich_torus_scan(A: ElementSet, ks,
     space = A.space
     kmax = ks[-1]
     grow, shells, _ = _ball_shells(A, kmax, budget)
-    balls = {k: grow.members(shells[:k]) for k in ks}
-    ball = ElementSet(space, balls[kmax])
+    balls = {k: _element_set(space, grow, shells[:k]) for k in ks}
+    ball = balls[kmax]
 
     by_kappa: dict = {}
     for g in sorted(ball):

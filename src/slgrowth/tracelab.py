@@ -146,9 +146,10 @@ def _semisimple(space: SpecialLinear, shifted: np.ndarray,
     return ok.reshape(codes.shape)
 
 
-def shift_table(t: Mat, pool: ElementSet) -> ShiftTable:
+def shift_table(t: Mat, pool: ElementSet, tick=lambda done: None) -> ShiftTable:
     """Trace, invariant and semisimplicity of t^k g for k = 0..n and
-    every g in the pool, in chunks of SHIFT_CHUNK pool members."""
+    every g in the pool, in chunks of SHIFT_CHUNK pool members.
+    tick(done) follows every chunk, with the members tabled so far."""
     space = pool.space
     n, p = space.n, space.p
     members = list(pool.members)
@@ -165,6 +166,7 @@ def shift_table(t: Mat, pool: ElementSet) -> ShiftTable:
         shifted = np.matmul(powers, chunk) % p
         traces[:, part], codes[:, part] = _traces_and_codes(space, shifted, dtype)
         semisimple[:, part] = _semisimple(space, shifted, codes[:, part])
+        tick(min(m, lo + SHIFT_CHUNK))
     return ShiftTable(members, traces, codes, semisimple)
 
 

@@ -341,6 +341,23 @@ def ball_oracle(space, gens, radius):
     return balls
 
 
+def triple_oracle(space, members):
+    """(A*A)*A with deduplication after each stage and no
+    symmetrization: nested loops over the canonically sorted members,
+    one tuple product at a time into a Python set."""
+    mul = space.mul
+    members = sorted(members)
+    aa = set()
+    for a in members:
+        for b in members:
+            aa.add(mul(a, b))
+    aaa = set()
+    for ab in aa:
+        for c in members:
+            aaa.add(mul(ab, c))
+    return frozenset(aaa)
+
+
 # ---------------------------------------------------------------------------
 # trace-lab oracle
 

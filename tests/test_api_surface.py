@@ -23,7 +23,6 @@ import slgrowth
 PACKAGE = Path(slgrowth.__file__).resolve().parent
 
 KEPT = {
-    "ClosureMembers._from_iterable": "Set protocol: the set operators build their results with it",
     "SpecialLinear.classify_semisimple": "perfbench/kernels.py times it",
     "SpecialLinear.random_element": "the per-call reference for elements; "
                                     "tests and perfbench/kernels.py call it",

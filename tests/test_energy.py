@@ -12,6 +12,8 @@ import pytest
 
 import slgrowth.energy as energy_mod
 from slgrowth import (
+    Budget,
+    BudgetExceeded,
     ElementSet,
     FiberFamily,
     PrimeField,
@@ -27,6 +29,7 @@ from slgrowth import (
     vital_diagnostics,
     word_ball,
 )
+from slgrowth import growth, tracelab
 
 from oracles import (
     difference_counts_by_pairs,
@@ -325,10 +328,11 @@ def test_vital_witness_loop_honours_budget_secs(monkeypatch, capsys, tmp_path):
     calls = []
     shift_table = energy_mod.shift_table
 
-    def slow(t, pool):
+    def slow(t, pool, tick):
         calls.append(t)
+        table = shift_table(t, pool, tick)
         time.sleep(0.3)
-        return shift_table(t, pool)
+        return table
 
     monkeypatch.setattr(energy_mod, "shift_table", slow)
     target = tmp_path / "vital.csv"
@@ -342,6 +346,40 @@ def test_vital_witness_loop_honours_budget_secs(monkeypatch, capsys, tmp_path):
     assert manifest["info"] == {"stage": "vital witnesses", "partial_count": 1}
     assert len(calls) == 1  # of 16 witnesses
     assert list(tmp_path.iterdir()) == []
+
+
+class StoppedClock:
+    """time for growth: the clock reads 0 until `now` is moved."""
+
+    now = 0.0
+
+    def monotonic(self):
+        return self.now
+
+
+def test_vital_deadline_trips_after_the_first_shift_table_chunk(monkeypatch):
+    """A deadline that passes as the first witness's shift table starts
+    trips after that table's first chunk, not after the witness ends."""
+    space, A, D = build_sl2_f11_instance()
+    assert len(word_ball(A, 2)) > 4  # the pool: several chunks of 4
+    clock = StoppedClock()
+    chunks = []
+    traces_and_codes = tracelab._traces_and_codes
+
+    def spy(*args):
+        chunks.append(1)
+        clock.now = 10.0  # past the 1 s deadline
+        return traces_and_codes(*args)
+
+    monkeypatch.setattr(growth, "time", clock)
+    monkeypatch.setattr(tracelab, "SHIFT_CHUNK", 4)
+    monkeypatch.setattr(tracelab, "_traces_and_codes", spy)
+    with pytest.raises(BudgetExceeded) as info:
+        assemble_vital_instance(A, D, 2, Budget(max_seconds=1.0))
+    assert str(info.value) == "vital witnesses exceeded 1.0 seconds"
+    assert info.value.stage == "vital witnesses"
+    assert info.value.partial_count == 0  # witnesses done
+    assert len(chunks) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,8 @@
 
 Every comparison runs the same public call twice, once with each
 expander forced, and demands identical results: per-radius ball sizes
-and sets, subgroup closures, growth reports, and budget failures down
-to the message and the partial count.
+and sets, subgroup closures, triple products, growth reports, and
+budget failures down to the message and the partial count.
 """
 
 import itertools
@@ -22,12 +22,13 @@ from slgrowth import (
     generates,
     growth_scan,
     standard_generators,
+    triple_product,
     word_ball,
 )
 from slgrowth import growth
 from slgrowth.growth import _KeyedExpander, _TupleExpander
 
-from oracles import ball_oracle, closure_oracle
+from oracles import ball_oracle, closure_oracle, triple_oracle
 
 SPACES = [(2, 3), (2, 5), (2, 7), (2, 11), (2, 13), (3, 5)]
 SPACE_IDS = [f"SL{n}F{p}" for n, p in SPACES]
@@ -72,7 +73,7 @@ def test_ball_shells_match(monkeypatch, n, p):
     for A in sets:
         def profile():
             grow, shells, sizes = growth._ball_shells(A, radius, growth.DEFAULT_BUDGET)
-            balls = [grow.members(shells[:r]) for r in range(1, len(shells) + 1)]
+            balls = [grow.decode_shells(space, shells[:r]) for r in range(1, len(shells) + 1)]
             return type(grow), sizes, balls
         (tuple_kind, tuple_sizes, tuple_balls), (keyed_kind, keyed_sizes, keyed_balls) = (
             on_both_paths(monkeypatch, profile))
@@ -105,7 +106,7 @@ def test_saturated_ball_takes_no_further_step(monkeypatch, p):
         grow, shells, sizes = growth._ball_shells(A, radius, growth.DEFAULT_BUDGET)
         assert type(grow) is expander
         assert sizes == {r: len(ball) for r, ball in enumerate(expected, 1)}
-        assert [grow.members(shells[:r]) for r in range(1, radius + 1)] == expected
+        assert [grow.decode_shells(space, shells[:r]) for r in range(1, radius + 1)] == expected
         assert len(steps) == full[0] - 1  # radii 2..saturation, none after
         monkeypatch.undo()
 
@@ -259,26 +260,47 @@ def test_generates_never_decodes(monkeypatch):
     space = SpecialLinear(2, 13)
     torus = ElementSet.from_matrices(space, [space.from_rows([[2, 0], [0, 7]])])
     for expander in (_TupleExpander, _KeyedExpander):
-        monkeypatch.setattr(expander, "members", lambda self, shells: 1 / 0)
+        monkeypatch.setattr(expander, "decode_shells", staticmethod(lambda space, shells: 1 / 0))
 
     def answers():
         with pytest.raises(ZeroDivisionError):
-            list(generated_closure(space, torus))  # decoding goes through members
+            list(generated_closure(space, torus))  # decoding goes through decode_shells
         return generates(standard_generators(space)), generates(torus)
 
     assert on_both_paths(monkeypatch, answers) == [(True, False)] * 2
 
 
-def test_closure_members_act_as_a_frozenset():
+@pytest.mark.parametrize("expander", [_TupleExpander, _KeyedExpander])
+def test_expansion_results_decode_once_on_first_use(monkeypatch, expander):
+    """Closures, word balls and triple products are ElementSets whose
+    len needs no decoding and whose members are decoded once, into a
+    frozenset; full_group hands back the closure itself."""
     space = SpecialLinear(2, 5)
-    closure = generated_closure(space)
-    members = closure.members
-    assert type(members) is frozenset and closure.members is members
-    assert closure == members and members == closure and len(closure) == 120
-    assert space.identity() in closure and set(closure) == members
-    assert closure | {space.identity()} == members and closure - members == frozenset()
-    # full_group hands ElementSet the decoded frozenset itself
-    assert type(full_group(space).members) is frozenset
+    A = standard_generators(space)
+    sizes = [space.order(), len(ball_oracle(space, A.members, 3)[-1]),
+             len(triple_oracle(space, A.members))]
+    decodes = []
+    decode_shells = expander.decode_shells
+
+    def counted(space, shells):
+        decodes.append(len(shells))
+        return decode_shells(space, shells)
+
+    monkeypatch.setattr(growth, "_expander", lambda space, count: expander)
+    monkeypatch.setattr(expander, "decode_shells", staticmethod(counted))
+    results = [generated_closure(space), word_ball(A, 3), triple_product(A)]
+    for result, size in zip(results, sizes):
+        assert type(result) is ElementSet and len(result) == size and decodes == []
+        members = result.members
+        assert type(members) is frozenset and len(members) == size
+        assert result.members is members and set(result) == members
+        assert all(g in result for g in members) and len(decodes) == 1
+        decodes.clear()
+    closures = []
+    monkeypatch.setattr(growth, "generated_closure", lambda *args, **kwargs: (
+        closures.append(generated_closure(*args, **kwargs)) or closures[-1]))
+    G = full_group(space)
+    assert len(closures) == 1 and G is closures[0]
 
 
 # ---------------------------------------------------------------------------
@@ -341,9 +363,13 @@ def steps_of(monkeypatch, expander, run):
     shells = []
 
     class Spy(expander):
+        def __init__(self, space, start):
+            super().__init__(space, start)
+            self.space = space
+
         def step(self, frontier, gens, tick):
             fresh = super().step(frontier, gens, tick)
-            shells.append(self.members([fresh]))
+            shells.append(self.decode_shells(self.space, [fresh]))
             return fresh
 
     with monkeypatch.context() as m:
@@ -363,7 +389,7 @@ def assert_balls_are_oracle(monkeypatch, A, radius):
     (grow, shells, sizes), _ = assert_steps_match(
         monkeypatch, lambda: growth._ball_shells(A, radius, growth.DEFAULT_BUDGET))
     expected = ball_oracle(A.space, A.members, radius)  # S * B_{r-1}: the other side
-    balls = [grow.members(shells[:r]) for r in range(1, len(shells) + 1)]
+    balls = [grow.decode_shells(A.space, shells[:r]) for r in range(1, len(shells) + 1)]
     assert balls == expected[: len(balls)]
     assert sizes == {r: len(ball) for r, ball in enumerate(expected, 1)}
 
@@ -505,3 +531,154 @@ def test_ball_step_memory_stays_bounded():
         tracemalloc.stop()
     assert type(grow) is _KeyedExpander and sizes == {1: 340, 2: 10320}
     assert peak <= 3.2e6
+
+
+# ---------------------------------------------------------------------------
+# triple products: two steps of a fresh engine each
+
+
+def is_diagonal(space, g):
+    n = space.n
+    return all(g[i * n + j] == 0 for i in range(n) for j in range(n) if i != j)
+
+
+def subgroup_or_generators(space, gens, order, limit=400):
+    """The subgroup that gens generate, checked to have the given order,
+    when that is at most limit; else gens themselves.  A subgroup is its
+    own triple product."""
+    if order > limit:
+        return gens
+    members = closure_oracle(space, gens.members)
+    assert len(members) == order
+    return ElementSet(space, members)
+
+
+def triple_cases(space):
+    """(name, set) pairs: empty, a singleton, seeded random sets, a
+    split torus, the Borel subgroup, block SL_2 in SL_3 and the full
+    group, the last three by their generators where they are large."""
+    n, p = space.n, space.p
+    rng = Random(n * p)
+    gens = borel(space)
+    torus = ElementSet(space, frozenset(g for g in gens if is_diagonal(space, g)))
+    cases = [("empty", ElementSet(space, frozenset())), ("singleton", random_set(space, rng, 1))]
+    cases += [(f"random {size}", random_set(space, rng, size)) for size in (2, 5, 12)]
+    cases.append(("split torus", subgroup_or_generators(space, torus, (p - 1) ** (n - 1))))
+    cases.append(("Borel", subgroup_or_generators(
+        space, gens, (p - 1) ** (n - 1) * p ** (n * (n - 1) // 2))))
+    if n == 3:
+        cases.append(("block SL_2", subgroup_or_generators(
+            space, embedded_sl2_in_sl3(space), SpecialLinear(2, p).order())))
+    if space.order() <= 400:
+        cases.append(("full group", full_group(space)))
+    return cases
+
+
+def assert_triples_are_oracle(monkeypatch, space, cases):
+    for name, A in cases:
+        expected = triple_oracle(space, A.members)
+        for aaa in on_both_paths(monkeypatch, lambda: triple_product(A)):
+            assert len(aaa) == len(expected), name
+            assert aaa.members == expected, name
+
+
+TRIPLE_SPACES = SPACES + [(2, 61), (3, 7)]
+
+
+@pytest.mark.parametrize("n,p", TRIPLE_SPACES, ids=[f"SL{n}F{p}" for n, p in TRIPLE_SPACES])
+def test_triple_product_matches_oracle(monkeypatch, n, p):
+    space = SpecialLinear(n, p)
+    assert_triples_are_oracle(monkeypatch, space, triple_cases(space))
+
+
+@pytest.mark.parametrize("chunk", [1, 5, 64])
+def test_triple_product_in_small_chunks(monkeypatch, chunk):
+    monkeypatch.setattr(growth, "CHUNK_PRODUCTS", chunk)
+    for n, p in ((2, 13), (3, 5)):
+        space = SpecialLinear(n, p)
+        cases = dict(triple_cases(space))
+        assert_triples_are_oracle(monkeypatch, space, [
+            (name, cases[name]) for name in ("singleton", "random 5", "split torus")])
+
+
+TRIPLE_STAGES = ["double product", "triple product"]
+
+
+def seeded_set_and_double(space):
+    """A seeded 12-element set and |A*A|."""
+    A = random_set(space, Random(12), 12)
+    return A, len({space.mul(a, b) for a in A.members for b in A.members})
+
+
+@pytest.mark.parametrize("stage", TRIPLE_STAGES)
+@pytest.mark.parametrize("expander", [_TupleExpander, _KeyedExpander])
+def test_triple_product_element_trip_within_a_chunk(monkeypatch, expander, stage):
+    """An element cap met inside a stage trips that stage within one
+    chunk of products past the cap."""
+    monkeypatch.setattr(growth, "CHUNK_PRODUCTS", 64)
+    monkeypatch.setattr(growth, "_expander", lambda space, count: expander)
+    space = SpecialLinear(2, 13)
+    A, double = seeded_set_and_double(space)
+    cap = double // 2 if stage == "double product" else double
+    assert len(triple_oracle(space, A.members)) > double + 64
+    with pytest.raises(BudgetExceeded) as info:
+        triple_product(A, Budget(max_elements=cap))
+    assert info.value.stage == stage
+    assert str(info.value) == f"{stage} exceeded {cap} stored elements"
+    assert cap < info.value.partial_count <= cap + growth.CHUNK_PRODUCTS
+
+
+@pytest.mark.parametrize("stage", TRIPLE_STAGES)
+@pytest.mark.parametrize("expander", [_TupleExpander, _KeyedExpander])
+def test_triple_product_deadline_trip_after_the_first_chunk(monkeypatch, expander, stage):
+    """A deadline that passes as a stage starts trips after that stage's
+    first chunk, with the elements it has found so far."""
+    monkeypatch.setattr(growth, "CHUNK_PRODUCTS", 64)
+    clock = StoppedClock()
+    steps, ticks = [], []
+
+    class Spy(expander):
+        def step(self, frontier, gens, tick):
+            steps.append(len(frontier) * len(gens))
+            if len(steps) == TRIPLE_STAGES.index(stage) + 1:
+                clock.now = 10.0  # past the 1 s deadline
+
+            def spy(found):
+                ticks.append(found)
+                tick(found)
+
+            ticks.clear()
+            return super().step(frontier, gens, spy)
+
+    monkeypatch.setattr(growth, "time", clock)
+    monkeypatch.setattr(growth, "_expander", lambda space, count: Spy)
+    A, _ = seeded_set_and_double(SpecialLinear(2, 13))
+    with pytest.raises(BudgetExceeded) as info:
+        triple_product(A, Budget(max_seconds=1.0))
+    assert info.value.stage == stage
+    assert str(info.value) == f"{stage} exceeded 1.0 seconds"
+    assert len(steps) == TRIPLE_STAGES.index(stage) + 1 and steps[-1] > growth.CHUNK_PRODUCTS
+    assert len(ticks) == 1 and 0 < info.value.partial_count == ticks[0] <= growth.CHUNK_PRODUCTS
+
+
+@pytest.mark.parametrize("expander", [_TupleExpander, _KeyedExpander])
+def test_results_keep_no_seen_bitmap(monkeypatch, expander):
+    """Once returned, the triple product of 4 elements and the closure
+    of a split torus in SL_2(F_61) retain under 64 KB: not the engine's
+    seen set, nor its 1.7 MB keyed bitmap."""
+    space = SpecialLinear(2, 61)
+    A = random_set(space, Random(61), 4)
+    a = primitive_root(61)
+    torus = ElementSet.from_matrices(space, [space.from_rows([[a, 0], [0, pow(a, -1, 61)]])])
+    monkeypatch.setattr(growth, "_expander", lambda space, count: expander)
+    for build, size in ((lambda: triple_product(A), len(triple_oracle(space, A.members))),
+                        (lambda: generated_closure(space, torus), 60)):
+        build()  # imports and caches warm
+        tracemalloc.start()
+        try:
+            result = build()
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(result) == size
+        assert retained < 64 * 1024
