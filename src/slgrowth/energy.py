@@ -139,8 +139,9 @@ def assemble_vital_instance(A: ElementSet, D: ElementSet, pool_radius: int,
     fatal.  X collects tr(t^i a) over each witness's most popular bin,
     Y collects the coefficient vectors f(t), and the fiber of f(t) holds
     the realized tuples (tr(a), ..., tr(t^{n-1} a)).  The budget's
-    seconds hold for the witness loop too, checked before each witness
-    and after every chunk of its shift table.
+    seconds hold for the witness loop too, checked before each witness,
+    after every chunk of its shift table and after every shift of its
+    dyadic bins.
     """
     space = A.space
     if D.space != space:
@@ -163,11 +164,13 @@ def assemble_vital_instance(A: ElementSet, D: ElementSet, pool_radius: int,
     assignments: dict = {}
     deadline = budget.start_clock()
     for done, t in enumerate(kept):
-        check_deadline(done, budget, deadline, "vital witnesses")
-        table = shift_table(t, pool, lambda _: check_deadline(
-            done, budget, deadline, "vital witnesses"))
+        def tick(_):
+            check_deadline(done, budget, deadline, "vital witnesses")
+
+        tick(None)
+        table = shift_table(t, pool, tick)
         try:
-            popular = popular_tuple(dyadic_bins(t, pool, table))
+            popular = popular_tuple(dyadic_bins(t, pool, table, tick))
             members = popular.members.members
         except NoBins:
             members = frozenset()

@@ -370,16 +370,18 @@ def word_ball(A: ElementSet, radius: int,
 
 def triple_product(A: ElementSet, budget: Budget = DEFAULT_BUDGET) -> ElementSet:
     """(A*A)*A with deduplication after each stage, no symmetrization.
-    Each stage is one step of a fresh engine with nothing seen; its
-    elements and the deadline are checked after every chunk."""
+    Each stage is one step of a fresh engine with nothing seen; the
+    elements held (A*A as well, in the second stage) and the deadline
+    are checked after every chunk."""
     space = A.space
     deadline = budget.start_clock()
     gens = A.sorted_members()
     engine = _expander(space, min(space.order(), len(gens) ** 3))
-    product = engine(space, ()).shell(gens)
+    product, held = engine(space, ()).shell(gens), 0
     for stage in ("double product", "triple product"):
         product = engine(space, ()).step(product, gens, lambda found: _check_budget(
-            found, budget, deadline, stage))
+            held + found, budget, deadline, stage))
+        held = len(product)
     return _element_set(space, engine, [product])
 
 

@@ -7,14 +7,17 @@ from math import prod
 from operator import mul
 from random import Random
 
+import numpy as np
+
 from .field import PrimeField
-from .matrices import SpecialLinear
+from .matrices import SpecialLinear, char_poly_batch
 from .polys import is_squarefree
 from .tracelab import f_from_char_poly, lindep_checks
 from .vandermonde import (cyclic_product_coordinates, elementary_symmetric,
                           omit_one_dets, vandermonde_product)
 
-SUITE_BLOCK = 32  # rows per omit_one_dets call; at 64, lemma-check's peak RSS rose
+# rows per omit_one_dets or char_poly_batch call; at 64, lemma-check's peak RSS rose
+SUITE_BLOCK = 32
 
 
 def vander_identity_suite(n: int, p: int, trials: int, rng: Random) -> tuple[int, int]:
@@ -51,15 +54,16 @@ def f_identity_suite(n: int, p: int, trials: int, rng: Random) -> tuple[int, int
 
 def kappa_conjugation_suite(n: int, p: int, trials: int, rng: Random) -> tuple[int, int]:
     """Random (g, h) checks that the charpoly, and with it the invariant
-    tuple, survives conjugation."""
+    tuple, survives conjugation: one char_poly_batch call reads the
+    conjugates h g h^-1 of a block of pairs."""
     space = SpecialLinear(n, p)
     stream = space.elements(rng)
     passes = 0
-    for _ in range(trials):
-        (g, full), (h, _) = next(stream), next(stream)
-        conj = space.mul(space.mul(h, g), space.inv(h))
-        if space.char_poly_full(conj) == full:
-            passes += 1
+    for start in range(0, trials, SUITE_BLOCK):
+        pairs = [(next(stream), next(stream)) for _ in range(min(SUITE_BLOCK, trials - start))]
+        conjs = [space.mul(space.mul(h, g), space.inv(h)) for (g, _), (h, _) in pairs]
+        got = char_poly_batch(np.array(conjs, dtype=np.int64).reshape(-1, n, n), p)
+        passes += sum(row == full for row, ((_, full), _) in zip(got.tolist(), pairs))
     return passes, trials
 
 

@@ -2,8 +2,10 @@
 
 A matrix is a flat row-major tuple of n*n canonical ints, so it hashes
 fast and goes straight into sets and dict keys.  SpecialLinear carries
-the ambient (n, p) plus specialized kernels; the experiment hypotheses
-p odd and p > n are enforced here, once, at setup.
+the ambient (n, p) plus its kernels; the experiment hypotheses p odd
+and p > n are enforced here, once, at setup.  One kernel, generated per
+(n, p), forms every product, and Newton's identities live only in
+char_poly_batch.
 """
 
 from __future__ import annotations
@@ -35,80 +37,16 @@ class SemisimplicityClass(enum.Enum):
 
 
 def _make_mul(n: int, p: int):
-    """Multiplication kernel; n=2 and n=3 are unrolled hot paths."""
-    if n == 2:
-
-        def mul2(a: Mat, b: Mat) -> Mat:
-            a0, a1, a2, a3 = a
-            b0, b1, b2, b3 = b
-            return (
-                (a0 * b0 + a1 * b2) % p,
-                (a0 * b1 + a1 * b3) % p,
-                (a2 * b0 + a3 * b2) % p,
-                (a2 * b1 + a3 * b3) % p,
-            )
-
-        return mul2
-    if n == 3:
-
-        def mul3(a: Mat, b: Mat) -> Mat:
-            a0, a1, a2, a3, a4, a5, a6, a7, a8 = a
-            b0, b1, b2, b3, b4, b5, b6, b7, b8 = b
-            return (
-                (a0 * b0 + a1 * b3 + a2 * b6) % p,
-                (a0 * b1 + a1 * b4 + a2 * b7) % p,
-                (a0 * b2 + a1 * b5 + a2 * b8) % p,
-                (a3 * b0 + a4 * b3 + a5 * b6) % p,
-                (a3 * b1 + a4 * b4 + a5 * b7) % p,
-                (a3 * b2 + a4 * b5 + a5 * b8) % p,
-                (a6 * b0 + a7 * b3 + a8 * b6) % p,
-                (a6 * b1 + a7 * b4 + a8 * b7) % p,
-                (a6 * b2 + a7 * b5 + a8 * b8) % p,
-            )
-
-        return mul3
-    if n == 4:
-
-        def mul4(a: Mat, b: Mat) -> Mat:
-            (a0, a1, a2, a3, a4, a5, a6, a7,
-             a8, a9, a10, a11, a12, a13, a14, a15) = a
-            (b0, b1, b2, b3, b4, b5, b6, b7,
-             b8, b9, b10, b11, b12, b13, b14, b15) = b
-            return (
-                (a0 * b0 + a1 * b4 + a2 * b8 + a3 * b12) % p,
-                (a0 * b1 + a1 * b5 + a2 * b9 + a3 * b13) % p,
-                (a0 * b2 + a1 * b6 + a2 * b10 + a3 * b14) % p,
-                (a0 * b3 + a1 * b7 + a2 * b11 + a3 * b15) % p,
-                (a4 * b0 + a5 * b4 + a6 * b8 + a7 * b12) % p,
-                (a4 * b1 + a5 * b5 + a6 * b9 + a7 * b13) % p,
-                (a4 * b2 + a5 * b6 + a6 * b10 + a7 * b14) % p,
-                (a4 * b3 + a5 * b7 + a6 * b11 + a7 * b15) % p,
-                (a8 * b0 + a9 * b4 + a10 * b8 + a11 * b12) % p,
-                (a8 * b1 + a9 * b5 + a10 * b9 + a11 * b13) % p,
-                (a8 * b2 + a9 * b6 + a10 * b10 + a11 * b14) % p,
-                (a8 * b3 + a9 * b7 + a10 * b11 + a11 * b15) % p,
-                (a12 * b0 + a13 * b4 + a14 * b8 + a15 * b12) % p,
-                (a12 * b1 + a13 * b5 + a14 * b9 + a15 * b13) % p,
-                (a12 * b2 + a13 * b6 + a14 * b10 + a15 * b14) % p,
-                (a12 * b3 + a13 * b7 + a14 * b11 + a15 * b15) % p,
-            )
-
-        return mul4
-
-    rng = range(n)
-
-    def muln(a: Mat, b: Mat) -> Mat:
-        out = []
-        for i in rng:
-            arow = a[i * n : i * n + n]
-            for j in rng:
-                s = 0
-                for k in rng:
-                    s += arow[k] * b[k * n + j]
-                out.append(s % p)
-        return tuple(out)
-
-    return muln
+    """The product kernel of SL_n(F_p): one straight-line function mul<n>,
+    generated for this (n, p), that unpacks both flat tuples into locals
+    and returns the n*n row-by-column sums mod p."""
+    a = ", ".join(f"a{i}" for i in range(n * n))
+    sums = ", ".join(f"({' + '.join(f'a{i + k} * b{k * n + j}' for k in range(n))}) % p"
+                     for i in range(0, n * n, n) for j in range(n))
+    source = f"def mul{n}(a, b):\n {a}, = a\n {a.replace('a', 'b')}, = b\n return {sums},\n"
+    namespace = {"p": p}
+    exec(compile(source, f"<mul{n}>", "exec"), namespace)
+    return namespace[f"mul{n}"]
 
 
 def char_poly_batch(mats: np.ndarray, p: int) -> np.ndarray:
@@ -209,10 +147,6 @@ class SpecialLinear:
 
     # -- scalar extraction ------------------------------------------------
 
-    def trace(self, g: Mat) -> int:
-        n = self.n
-        return sum(g[i * n + i] for i in range(n)) % self.p
-
     def trace_product(self, a: Mat, b: Mat) -> int:
         """tr(a @ b) without forming the product."""
         n = self.n
@@ -270,8 +204,8 @@ class SpecialLinear:
     # -- characteristic polynomials -----------------------------------------
 
     def char_poly_full(self, g: Mat) -> list[int]:
-        """Coefficients of det(xI - g), lowest degree first, monic.  At
-        n >= 4 they come from the power traces of power_list(g, n)."""
+        """Coefficients of det(xI - g), lowest degree first, monic: closed
+        forms for n = 2 and 3, char_poly_batch of the one matrix past that."""
         n, p = self.n, self.p
         if n == 2:
             return [(g[0] * g[3] - g[1] * g[2]) % p, (-(g[0] + g[3])) % p, 1]
@@ -287,25 +221,7 @@ class SpecialLinear:
             ) % p
             e3 = self.det(g)
             return [(-e3) % p, e2, (-e1) % p, 1]
-        # Newton's identities on power traces; valid since p > n
-        powers = self.power_list(g, n)
-        ptr = [self.trace(powers[i]) for i in range(n + 1)]
-        es = [1] + [0] * n
-        field = self.field
-        for k in range(1, n + 1):
-            acc = 0
-            sign = 1
-            for i in range(1, k + 1):
-                acc += sign * es[k - i] * ptr[i]
-                sign = -sign
-            es[k] = (acc * field.inv(k)) % p
-        coeffs = [0] * (n + 1)
-        coeffs[n] = 1
-        sign = -1
-        for k in range(1, n + 1):
-            coeffs[n - k] = (sign * es[k]) % p
-            sign = -sign
-        return coeffs
+        return char_poly_batch(np.array(g, dtype=np.int64).reshape(n, n), p).tolist()
 
     def char_poly(self, g: Mat):
         """The conjugation invariant (a_{n-1}, ..., a_1) read off

@@ -81,6 +81,7 @@ def rich_torus_scan(A: ElementSet, ks,
     kmax = ks[-1]
     grow, shells, _ = _ball_shells(A, kmax, budget)
     balls = {k: _element_set(space, grow, shells[:k]) for k in ks}
+    del grow  # its seen set or bitmap would live through the scans below
     ball = balls[kmax]
 
     by_kappa: dict = {}

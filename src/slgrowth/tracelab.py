@@ -201,8 +201,8 @@ class WealthBin:
     members: ElementSet
 
 
-def dyadic_bins(t: Mat, pool: ElementSet, table: ShiftTable | None = None
-                ) -> list[WealthBin]:
+def dyadic_bins(t: Mat, pool: ElementSet, table: ShiftTable | None = None,
+                tick=lambda done: None) -> list[WealthBin]:
     """Partition the eligible part of the pool into dyadic wealth bins.
 
     Eligible means g, tg, ..., t^n g all semisimple.  Every eligible g
@@ -210,6 +210,8 @@ def dyadic_bins(t: Mat, pool: ElementSet, table: ShiftTable | None = None
     are >= 1 and the bin exponents are the bit lengths minus one.
     Returns bins sorted by jvec; empty bins are never materialized.
     `table` is `shift_table(t, pool)`, when the caller already has it.
+    tick(done) follows the wealth pass of every shift, with the shifts
+    passed so far, and the binning, with all n + 1.
     """
     space = pool.space
     space.require_regular(t, "dyadic bins")
@@ -220,10 +222,12 @@ def dyadic_bins(t: Mat, pool: ElementSet, table: ShiftTable | None = None
     for i in range(space.n + 1):
         exponent = {r: w.bit_length() - 1 for r, w in _wealths(table, i).items()}
         columns.append([exponent[r] for r in table.traces[i, eligible].tolist()])
+        tick(i + 1)
     members = [g for g, ok in zip(table.members, eligible.tolist()) if ok]
     bins: dict = {}
     for g, jvec in zip(members, zip(*columns)):
         bins.setdefault(jvec, []).append(g)
+    tick(space.n + 1)
     return [
         WealthBin(t=t, jvec=jvec, members=ElementSet(space, frozenset(bins[jvec])))
         for jvec in sorted(bins)

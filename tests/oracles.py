@@ -85,6 +85,23 @@ def root_multiplicities(coeffs, p):
 # matrix oracles
 
 
+def matmul_oracle(n, p, a, b):
+    """a @ b mod p for flat row-major matrices, by the triple loop."""
+    out = []
+    for i in range(n):
+        for j in range(n):
+            s = 0
+            for k in range(n):
+                s += a[i * n + k] * b[k * n + j]
+            out.append(s % p)
+    return tuple(out)
+
+
+def diagonal_sum(space, g):
+    """tr(g): the sum of the diagonal entries mod p."""
+    return sum(g[:: space.n + 1]) % space.p
+
+
 def charpoly_oracle(n, p, g):
     """det(xI - g) by permutation expansion; coefficients low-to-high."""
     entries = {}
@@ -375,7 +392,7 @@ def dyadic_bins_oracle(space, t, members):
         traces = []
         for i in range(n + 1):
             shifted = space.mul(powers[i], g)
-            tr = space.trace(shifted)
+            tr = diagonal_sum(space, shifted)
             traces.append(tr)
             if classify_oracle(space, shifted) is SemisimplicityClass.NOT_SEMISIMPLE:
                 all_ss = False

@@ -5,10 +5,16 @@ looking the name up in vars() of slgrowth.cli, slgrowth.growth and
 slgrowth.energy; a renamed or removed function makes the traced run
 die with StopIteration.  perfbench/kernels.py times SpecialLinear
 methods, and traced.install patches one, so a renamed or deleted
-method fails the benchmark run.  These tests only read perfbench/.
+method fails the benchmark run; the kernel benchmark is also run once
+here, end to end.  These tests only read perfbench/.
 """
 
 import ast
+import json
+import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 from slgrowth import SpecialLinear, cli, energy, growth
@@ -45,3 +51,17 @@ def test_patched_space_methods_resolve():
     used = attributes_of("traced.py", "space_cls")
     assert "split_eigenvalues" in used
     assert sorted(name for name in used if not hasattr(SpecialLinear, name)) == []
+
+
+def test_kernel_benchmark_runs():
+    """perfbench/kernels.py prints all 12 kernel metrics, each a finite
+    positive number of ns per call."""
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    done = subprocess.run([sys.executable, str(PERFBENCH / "kernels.py"), "--seed", "0"],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    metrics = json.loads(done.stdout)
+    names = {f"matrices.{op}_ns.n{n}" for op in ("mul", "inv", "char_poly", "classify_semisimple")
+             for n in (2, 3, 4)}
+    assert set(metrics) == names
+    assert all(math.isfinite(ns) and ns > 0 for ns in metrics.values())

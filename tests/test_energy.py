@@ -323,18 +323,18 @@ def test_vital_screens_every_witness_in_one_call(monkeypatch, capsys, tmp_path):
 
 
 def test_vital_witness_loop_honours_budget_secs(monkeypatch, capsys, tmp_path):
-    """A witness that outlasts --budget-secs stops the loop at the next
-    witness: exit 3 and one manifest that names the stage, no files."""
+    """A witness that outlasts --budget-secs past its last check inside
+    (here, in popular_tuple after its dyadic bins) stops the loop at the
+    next witness: exit 3 and one manifest that names the stage, no files."""
     calls = []
-    shift_table = energy_mod.shift_table
+    popular_tuple = energy_mod.popular_tuple
 
-    def slow(t, pool, tick):
-        calls.append(t)
-        table = shift_table(t, pool, tick)
+    def slow(bins):
+        calls.append(bins)
         time.sleep(0.3)
-        return table
+        return popular_tuple(bins)
 
-    monkeypatch.setattr(energy_mod, "shift_table", slow)
+    monkeypatch.setattr(energy_mod, "popular_tuple", slow)
     target = tmp_path / "vital.csv"
     argv = ["vital", "--n", "2", "--p", "11", "--radius", "2", "--k", "2",
             "--seed", "6", "--budget-secs", "0.25", "--out", str(target)]
@@ -380,6 +380,28 @@ def test_vital_deadline_trips_after_the_first_shift_table_chunk(monkeypatch):
     assert info.value.stage == "vital witnesses"
     assert info.value.partial_count == 0  # witnesses done
     assert len(chunks) == 1
+
+
+def test_vital_deadline_trips_inside_the_first_dyadic_bins(monkeypatch):
+    """A deadline that passes during the first witness's wealth passes
+    trips after that pass, inside dyadic_bins, with no witness done."""
+    space, A, D = build_sl2_f11_instance()
+    clock = StoppedClock()
+    passes = []
+    wealths = tracelab._wealths
+
+    def spy(*args):
+        passes.append(1)
+        clock.now = 10.0  # past the 1 s deadline
+        return wealths(*args)
+
+    monkeypatch.setattr(growth, "time", clock)
+    monkeypatch.setattr(tracelab, "_wealths", spy)
+    with pytest.raises(BudgetExceeded) as info:
+        assemble_vital_instance(A, D, 2, Budget(max_seconds=1.0))
+    assert str(info.value) == "vital witnesses exceeded 1.0 seconds"
+    assert info.value.partial_count == 0  # witnesses done
+    assert len(passes) == 1  # of n + 1 = 3 shifts
 
 
 # ---------------------------------------------------------------------------

@@ -628,11 +628,28 @@ def test_triple_product_element_trip_within_a_chunk(monkeypatch, expander, stage
     assert cap < info.value.partial_count <= cap + growth.CHUNK_PRODUCTS
 
 
+@pytest.mark.parametrize("expander", [_TupleExpander, _KeyedExpander])
+def test_triple_product_element_budget_counts_the_held_double(monkeypatch, expander):
+    """The second stage holds A*A while it finds (A*A)*A, so a cap of
+    exactly |A*A*A| elements trips that stage."""
+    monkeypatch.setattr(growth, "_expander", lambda space, count: expander)
+    space = SpecialLinear(2, 13)
+    A, double = seeded_set_and_double(space)
+    triple = len(triple_oracle(space, A.members))
+    assert (double, triple) == (139, 1192)
+    with pytest.raises(BudgetExceeded) as info:
+        triple_product(A, Budget(max_elements=triple))
+    assert info.value.stage == "triple product"
+    assert triple < info.value.partial_count <= double + triple
+    assert len(triple_product(A, Budget(max_elements=double + triple))) == triple
+
+
 @pytest.mark.parametrize("stage", TRIPLE_STAGES)
 @pytest.mark.parametrize("expander", [_TupleExpander, _KeyedExpander])
 def test_triple_product_deadline_trip_after_the_first_chunk(monkeypatch, expander, stage):
     """A deadline that passes as a stage starts trips after that stage's
-    first chunk, with the elements it has found so far."""
+    first chunk, with the elements held: those it has found so far, and
+    A*A too in the second stage."""
     monkeypatch.setattr(growth, "CHUNK_PRODUCTS", 64)
     clock = StoppedClock()
     steps, ticks = [], []
@@ -652,13 +669,15 @@ def test_triple_product_deadline_trip_after_the_first_chunk(monkeypatch, expande
 
     monkeypatch.setattr(growth, "time", clock)
     monkeypatch.setattr(growth, "_expander", lambda space, count: Spy)
-    A, _ = seeded_set_and_double(SpecialLinear(2, 13))
+    A, double = seeded_set_and_double(SpecialLinear(2, 13))
+    held = double if stage == "triple product" else 0
     with pytest.raises(BudgetExceeded) as info:
         triple_product(A, Budget(max_seconds=1.0))
     assert info.value.stage == stage
     assert str(info.value) == f"{stage} exceeded 1.0 seconds"
     assert len(steps) == TRIPLE_STAGES.index(stage) + 1 and steps[-1] > growth.CHUNK_PRODUCTS
-    assert len(ticks) == 1 and 0 < info.value.partial_count == ticks[0] <= growth.CHUNK_PRODUCTS
+    assert len(ticks) == 1 and 0 < ticks[0] <= growth.CHUNK_PRODUCTS
+    assert info.value.partial_count == held + ticks[0]
 
 
 @pytest.mark.parametrize("expander", [_TupleExpander, _KeyedExpander])

@@ -1,5 +1,7 @@
 """Centralizer tori, torus orders, rich-torus scans."""
 
+import tracemalloc
+
 import pytest
 
 from slgrowth import (
@@ -13,6 +15,7 @@ from slgrowth import (
     torus_order_and_split,
     word_ball,
 )
+from slgrowth import torus as torus_mod
 
 
 def split_torus(space):
@@ -231,3 +234,28 @@ def test_scan_sorted_and_monotone_in_radius():
         assert rep.intersection_sizes[2] <= rep.intersection_sizes[3]
         assert rep.intersection_sizes[3] <= rep.torus_order
         assert rep.regular_count >= 1
+
+
+def test_scan_frees_the_ball_engine_before_the_centralizers(monkeypatch):
+    """Past the ball expansion the scan keeps the balls' shells, not the
+    engine's seen bitmap: at SL_2(F_37), radius 8, the memory live at
+    the first centralizer call stays below that bitmap's 37^4/8 bytes."""
+    space = SpecialLinear(2, 37)
+    A = standard_generators(space)
+    live = []
+    centralizer = torus_mod.centralizer_torus
+
+    def spy(*args):
+        if not live:
+            live.append(tracemalloc.get_traced_memory()[0])
+        return centralizer(*args)
+
+    monkeypatch.setattr(torus_mod, "centralizer_torus", spy)
+    rich_torus_scan(A, [2, 8])  # imports and caches warm
+    live.clear()
+    tracemalloc.start()
+    try:
+        rich_torus_scan(A, [2, 8])
+    finally:
+        tracemalloc.stop()
+    assert live and live[0] < 37**4 // 8
