@@ -55,13 +55,15 @@ def f_identity_suite(n: int, p: int, trials: int, rng: Random) -> tuple[int, int
 def kappa_conjugation_suite(n: int, p: int, trials: int, rng: Random) -> tuple[int, int]:
     """Random (g, h) checks that the charpoly, and with it the invariant
     tuple, survives conjugation: one char_poly_batch call reads the
-    conjugates h g h^-1 of a block of pairs."""
+    conjugates h g h^-1 of a block of pairs, and each h^-1 comes from
+    the charpoly that the stream yields with h."""
     space = SpecialLinear(n, p)
     stream = space.elements(rng)
     passes = 0
     for start in range(0, trials, SUITE_BLOCK):
         pairs = [(next(stream), next(stream)) for _ in range(min(SUITE_BLOCK, trials - start))]
-        conjs = [space.mul(space.mul(h, g), space.inv(h)) for (g, _), (h, _) in pairs]
+        conjs = [space.mul(space.mul(h, g), space.inv(h, hfull))
+                 for (g, _), (h, hfull) in pairs]
         got = char_poly_batch(np.array(conjs, dtype=np.int64).reshape(-1, n, n), p)
         passes += sum(row == full for row, ((_, full), _) in zip(got.tolist(), pairs))
     return passes, trials

@@ -5,7 +5,9 @@ fast and goes straight into sets and dict keys.  SpecialLinear carries
 the ambient (n, p) plus its kernels; the experiment hypotheses p odd
 and p > n are enforced here, once, at setup.  One kernel, generated per
 (n, p), forms every product, and Newton's identities live only in
-char_poly_batch.
+char_poly_batch.  Nothing here row-reduces: when p > n every
+determinant and inverse follows from the characteristic polynomial,
+det(g) = (-1)^n chi_g(0), and g^-1 by Cayley-Hamilton.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import linalg, polys
+from . import polys
 from .errors import InvalidWitness, NotInGroup, SingularMatrix, UnsupportedTorus
 from .field import PrimeField
 
@@ -79,6 +81,9 @@ class SpecialLinear:
     __slots__ = ("n", "p", "field", "mul", "_identity", "_entry_width")
 
     def __init__(self, n: int, p: int | PrimeField):
+        # before PrimeField, whose trial division would hang on a wide p
+        if (p.p if isinstance(p, PrimeField) else p) > 0xFFFF:
+            raise ValueError("entries wider than two bytes are unsupported")
         field = p if isinstance(p, PrimeField) else PrimeField(p)
         if n < 2:
             raise ValueError(f"matrix size n={n} must be at least 2")
@@ -86,8 +91,6 @@ class SpecialLinear:
             raise ValueError("experiments require an odd prime modulus")
         if field.p <= n:
             raise ValueError(f"experiments require p > n, got p={field.p}, n={n}")
-        if field.p > 0xFFFF:
-            raise ValueError("entries wider than two bytes are unsupported")
         self.n = n
         self.p = field.p
         self.field = field
@@ -158,41 +161,34 @@ class SpecialLinear:
         return s % self.p
 
     def det(self, g: Mat) -> int:
-        p = self.p
-        if self.n == 2:
-            return (g[0] * g[3] - g[1] * g[2]) % p
-        if self.n == 3:
-            return (
-                g[0] * (g[4] * g[8] - g[5] * g[7])
-                - g[1] * (g[3] * g[8] - g[5] * g[6])
-                + g[2] * (g[3] * g[7] - g[4] * g[6])
-            ) % p
-        return linalg.det_mod(self.to_rows(g), self.field)
+        """det(g) = (-1)^n chi_g(0), from char_poly_full."""
+        return (-1) ** self.n * self.char_poly_full(g)[0] % self.p
 
     # -- products, inverses, powers ---------------------------------------
 
-    def inv(self, g: Mat) -> Mat:
-        n, p, field = self.n, self.p, self.field
-        if n == 2:
-            d = (g[0] * g[3] - g[1] * g[2]) % p
-            if d == 0:
-                raise SingularMatrix("determinant is zero")
-            di = field.inv(d)
-            return (
-                (g[3] * di) % p,
-                (-g[1] * di) % p,
-                (-g[2] * di) % p,
-                (g[0] * di) % p,
-            )
-        # Gauss-Jordan on [g | I]
-        ident = self._identity
-        m, pivots, _ = linalg.row_reduce(
-            [g[i * n : i * n + n] + ident[i * n : i * n + n] for i in range(n)],
-            field, width=n, jordan=True,
-        )
-        if len(pivots) < n:
+    def inv(self, g: Mat, full: Optional[list[int]] = None) -> Mat:
+        """g^-1 by Cayley-Hamilton: with det(xI - g) = x^n + a_{n-1} x^(n-1)
+        + ... + a_1 x + a_0, g^-1 = -(g^(n-1) + a_{n-1} g^(n-2) + ... + a_1 I)
+        / a_0.  `full` is char_poly_full(g), for a caller that holds it
+        already.  SingularMatrix when a_0 = 0, that is when det(g) = 0."""
+        if full is None:
+            full = self.char_poly_full(g)
+        if full[0] == 0:
             raise SingularMatrix("determinant is zero")
-        return tuple(x for row in m for x in row[n:])
+        p = self.p
+        scale = p - self.field.inv(full[0])
+        return tuple(x * scale % p for x in self._horner(full[1:], g))
+
+    def _horner(self, coeffs: list[int], g: Mat) -> list[int]:
+        """f(g) as a flat list, for the monic f with coefficients `coeffs`,
+        lowest degree first: Horner from the top, deg f products."""
+        n, p = self.n, self.p
+        value = self._identity
+        for c in coeffs[-2::-1]:
+            value = list(self.mul(value, g))
+            for i in range(0, n * n, n + 1):
+                value[i] = (value[i] + c) % p
+        return value
 
     def power_list(self, g: Mat, top: int) -> list[Mat]:
         """[I, g, g^2, ..., g^top] by repeated multiplication."""
@@ -205,7 +201,8 @@ class SpecialLinear:
 
     def char_poly_full(self, g: Mat) -> list[int]:
         """Coefficients of det(xI - g), lowest degree first, monic: closed
-        forms for n = 2 and 3, char_poly_batch of the one matrix past that."""
+        forms for n = 2 and 3, char_poly_batch of the one matrix past that.
+        det and inv read theirs from here."""
         n, p = self.n, self.p
         if n == 2:
             return [(g[0] * g[3] - g[1] * g[2]) % p, (-(g[0] + g[3])) % p, 1]
@@ -219,7 +216,11 @@ class SpecialLinear:
                 + g[4] * g[8]
                 - g[5] * g[7]
             ) % p
-            e3 = self.det(g)
+            e3 = (
+                g[0] * (g[4] * g[8] - g[5] * g[7])
+                - g[1] * (g[3] * g[8] - g[5] * g[6])
+                + g[2] * (g[3] * g[7] - g[4] * g[6])
+            ) % p
             return [(-e3) % p, e2, (-e1) % p, 1]
         return char_poly_batch(np.array(g, dtype=np.int64).reshape(n, n), p).tolist()
 
@@ -243,6 +244,7 @@ class SpecialLinear:
         semisimple iff its minimal polynomial is squarefree, iff that
         polynomial, which divides chi and has its irreducible factors,
         divides rad(chi) (Humphreys, Linear Algebraic Groups, 15.1).
+        rad(chi)(g) comes from _horner, which inv shares.
         tracelab._semisimple applies the same rule per class in numpy.
         No subcommand calls this per-element reference; perfbench/kernels.py
         times it.
@@ -250,13 +252,7 @@ class SpecialLinear:
         rad = polys.radical(self.char_poly_full(g), self.field)
         if rad is None:
             return SemisimplicityClass.REGULAR_SEMISIMPLE
-        n, p = self.n, self.p
-        value = self._identity
-        for c in rad[-2::-1]:  # Horner from the monic top: deg rad <= n - 1 products
-            value = list(self.mul(value, g))
-            for i in range(0, n * n, n + 1):
-                value[i] = (value[i] + c) % p
-        if any(value):
+        if any(self._horner(rad, g)):  # deg rad <= n - 1 products
             return SemisimplicityClass.NOT_SEMISIMPLE
         return SemisimplicityClass.SEMISIMPLE_NOT_REGULAR
 

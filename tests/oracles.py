@@ -4,10 +4,9 @@ Everything here is deliberately written by the dumbest correct method
 available (permutation expansions, literal subset enumeration, nested
 pair counting) so that agreement with the package is evidence, not an
 echo.  Nothing in this file imports package internals beyond the public
-constructors needed to drive it, save one: the omit-one determinants
-are taken by the package's exact elimination (linalg.row_reduce), the
-route the batched charpoly kernel replaced, and the lemma-check suites
-are kept here in their one-trial-at-a-time form on top of them.
+constructors needed to drive it.  The omit-one determinants are taken
+by exact elimination (det_oracle), and the lemma-check suites are kept
+here in their one-trial-at-a-time form on top of them.
 """
 
 import itertools
@@ -21,7 +20,6 @@ from slgrowth import (
     elementary_symmetric,
     vandermonde_product,
 )
-from slgrowth import linalg
 
 
 # ---------------------------------------------------------------------------
@@ -141,7 +139,7 @@ def perm_sign(perm):
 
 
 def matrix_rank_oracle(rows, p):
-    """Row-reduction rank, written independently of slgrowth.linalg."""
+    """Row-reduction rank, written independently of slgrowth."""
     rows = [list(r) for r in rows]
     cols = len(rows[0]) if rows else 0
     rank = 0
@@ -164,6 +162,32 @@ def matrix_rank_oracle(rows, p):
                 ]
         rank += 1
     return rank
+
+
+def det_oracle(rows, p):
+    """Row-reduction determinant of a square matrix, written independently
+    of slgrowth: the product of the pivots times the sign of the swaps."""
+    rows = [list(r) for r in rows]
+    n = len(rows)
+    det = 1
+    for col in range(n):
+        pivot = None
+        for r in range(col, n):
+            if rows[r][col] % p:
+                pivot = r
+                break
+        if pivot is None:
+            return 0
+        if pivot != col:
+            rows[col], rows[pivot] = rows[pivot], rows[col]
+            det = -det
+        det = (det * rows[col][col]) % p
+        inv = pow(rows[col][col], p - 2, p)
+        for r in range(col + 1, n):
+            factor = (rows[r][col] * inv) % p
+            if factor:
+                rows[r] = [(rows[r][c] - factor * rows[col][c]) % p for c in range(n)]
+    return det
 
 
 def minimal_polynomial_oracle(n, p, g):
@@ -454,7 +478,7 @@ def power_matrix_rows(field, s, i):
 
 def generalized_vandermonde_det(field, s, i):
     """Determinant of the omit-power-i matrix, by exact elimination."""
-    return linalg.det_mod(power_matrix_rows(field, s, i), field)
+    return det_oracle(power_matrix_rows(field, s, i), field.p)
 
 
 def verify_vander_identity(field, s, i):

@@ -10,7 +10,8 @@ itertools.chain counts for nothing, since `data.decode()` is as likely
 bytes.decode and `chain.from_iterable` is itertools'.  The few definitions
 kept for callers outside src/, and those whose names builtins share,
 are listed in KEPT with the reason.  The repository has no linter, so
-this is what keeps unreached code from piling up again.
+this is what keeps unreached code from piling up again.  For the same
+reason every imported name must be loaded in the module that imports it.
 """
 
 import ast
@@ -105,3 +106,28 @@ def test_kept_names_are_definitions():
 def test_all_names_resolve():
     assert len(set(slgrowth.__all__)) == len(slgrowth.__all__)
     assert [name for name in slgrowth.__all__ if not hasattr(slgrowth, name)] == []
+
+
+def test_every_import_is_loaded():
+    """Each name an import binds in a module of src/slgrowth is loaded
+    there, save `from __future__ import annotations`, the re-exports of
+    __init__.__all__ and imports marked `# noqa: F401`."""
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        source = path.read_text()
+        lines = source.splitlines()
+        tree = ast.parse(source, str(path))
+        loads, _ = mentions(tree)
+        exempt = set(slgrowth.__all__) if path.name == "__init__.py" else set()
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if any("# noqa: F401" in line for line in lines[node.lineno - 1:node.end_lineno]):
+                continue
+            for alias in node.names:
+                bound = alias.asname or alias.name.split(".")[0]
+                if bound not in loads and bound not in exempt:
+                    unused.append(f"{path.name}: {bound}")
+    assert unused == []

@@ -82,6 +82,22 @@ def test_exit_code_config_error_composite_p(capsys):
     assert "prime" in captured.err
 
 
+def test_wide_p_is_rejected_before_the_primality_test():
+    """2^61 - 1 is prime, but trial division would take hours: the
+    entry-width check has to come first.  Subprocesses, so that a hang
+    fails by timeout instead of stalling the suite."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    for argv in (["expand", "--n", "2"], ["energy", "--trials", "1"]):
+        proc = subprocess.run(
+            [sys.executable, "-m", "slgrowth.cli", *argv, "--p", str(2**61 - 1)],
+            capture_output=True, text=True, env=env, timeout=20,
+        )
+        assert proc.returncode == 2, argv
+        assert proc.stderr.startswith(
+            "configuration error: entries wider than two bytes"), argv
+        assert proc.stdout == ""
+
+
 def test_exit_code_config_error_from_dispatch(capsys):
     # SL_2(F_3) has no split regular elements, so the witness scan comes
     # back empty only after the run has started; the manifest records it

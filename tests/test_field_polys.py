@@ -1,14 +1,14 @@
-"""Field arithmetic, dense polynomials, and the small linear algebra kernel."""
+"""Field arithmetic, dense polynomials, and determinants."""
 
 import itertools
 from random import Random
 
 import pytest
 
-from slgrowth import PrimeField, is_prime
-from slgrowth import polys, linalg
+from slgrowth import PrimeField, SpecialLinear, is_prime
+from slgrowth import polys
 
-from oracles import poly_add, poly_from_roots, poly_mul
+from oracles import det_oracle, poly_add, poly_from_roots, poly_mul
 
 
 # ---------------------------------------------------------------------------
@@ -173,7 +173,7 @@ def test_factor_degrees_irreducible_cubic():
 
 
 # ---------------------------------------------------------------------------
-# linear algebra kernel
+# determinants
 
 
 def _perm_det(rows, p):
@@ -201,11 +201,20 @@ def _perm_det(rows, p):
     return total % p
 
 
-def test_det_mod_matches_permutation_expansion():
+def test_special_linear_det_matches_permutation_expansion():
+    """Arbitrary matrices, every fourth made singular (its last row the
+    sum of the others), inside SpecialLinear's p > n domain."""
     rng = Random(5)
-    for p in (5, 13):
-        fld = PrimeField(p)
-        for n in (2, 3, 4, 5):
-            for _ in range(60):
+    for p in (7, 13):
+        for n in (2, 3, 4, 5, 6):
+            space = SpecialLinear(n, p)
+            singular = 0
+            for trial in range(40):
                 rows = [[rng.randrange(p) for _ in range(n)] for _ in range(n)]
-                assert linalg.det_mod(rows, fld) == _perm_det(rows, p)
+                if trial % 4 == 0:
+                    rows[-1] = [sum(col) % p for col in zip(*rows[:-1])]
+                expected = _perm_det(rows, p)
+                singular += expected == 0
+                assert space.det(space.from_rows(rows)) == expected
+                assert det_oracle(rows, p) == expected
+            assert singular >= 10

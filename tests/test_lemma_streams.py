@@ -98,6 +98,16 @@ def test_kappa_conjugation_suite_reads_the_frozen_stream(monkeypatch):
     assert digest(list(zip(elements[::2], elements[1::2]))) == KAPPA_CONJUGATION
 
 
+def test_kappa_conjugation_suite_takes_no_per_element_charpoly(monkeypatch):
+    """Each h^-1 comes from the charpoly the stream yields with h."""
+    def refuse(self, g):
+        raise AssertionError("char_poly_full called")
+
+    monkeypatch.setattr(SpecialLinear, "char_poly_full", refuse)
+    assert (lemmas.kappa_conjugation_suite(N, P, COUNT, suite_rng("kappa-conjugation"))
+            == (COUNT, COUNT))
+
+
 def test_lindep_suite_reads_the_frozen_stream(monkeypatch):
     pulled = pulled_from(monkeypatch, "split_regulars")
     lemmas.lindep_suite(N, P, COUNT, suite_rng("lindep"))

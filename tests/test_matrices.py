@@ -21,6 +21,7 @@ from oracles import (
     charpoly_oracle,
     classify_oracle,
     conjugation_orbit,
+    det_oracle,
     diagonal_sum,
     matmul_oracle,
     minimal_polynomial_oracle,
@@ -130,12 +131,38 @@ def test_inverse_examples_and_law():
             assert sp.mul(g, sp.inv(g)) == sp.identity()
 
 
+@pytest.mark.parametrize("p", [7, 13, 65521])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_inverse_of_invertible_matrices_off_the_group(n, p):
+    """Cayley-Hamilton needs only det != 0: arbitrary invertible
+    matrices, det = 1 or not, get a two-sided inverse, and a charpoly
+    handed in gives the same one."""
+    space = sl(n, p)
+    rng = Random(n * p + 1)
+    e = space.identity()
+    off_group = 0
+    for _ in range(20):
+        g = tuple(rng.randrange(p) for _ in range(n * n))
+        d = det_oracle(space.to_rows(g), p)
+        if d == 0:
+            continue
+        off_group += d != 1
+        h = space.inv(g)
+        assert matmul_oracle(n, p, g, h) == e == matmul_oracle(n, p, h, g)
+        assert space.inv(g, space.char_poly_full(g)) == h
+    assert off_group >= 8
+
+
 def test_inverse_of_singular_raises():
     for rows in (
         [[1, 2], [2, 4]],
-        [[1, 2, 3], [2, 4, 6], [0, 0, 1]],  # column 1 has no pivot
-        [[0, 1, 2, 3], [0, 4, 5, 6], [0, 0, 0, 1], [0, 2, 1, 5]],  # column 0
+        [[1, 2, 3], [2, 4, 6], [0, 0, 1]],  # rows 0 and 1 proportional
+        [[0, 1, 2, 3], [0, 4, 5, 6], [0, 0, 0, 1], [0, 2, 1, 5]],  # column 0 zero
         [[1, 2, 3, 4], [2, 3, 4, 5], [3, 4, 5, 6], [0, 0, 1, 1]],  # rank 3
+        [[1, 0, 2, 0, 3], [0, 1, 0, 4, 0], [1, 1, 2, 4, 3], [5, 0, 0, 1, 0],
+         [0, 0, 6, 0, 1]],  # row 2 = row 0 + row 1
+        [[1, 2, 0, 0, 0, 1], [0, 1, 0, 3, 0, 0], [4, 0, 1, 0, 0, 4],
+         [0, 0, 2, 1, 0, 0], [0, 3, 0, 0, 1, 0], [2, 0, 0, 5, 0, 2]],  # column 5 = column 0
     ):
         space = sl(len(rows), 7)
         with pytest.raises(SingularMatrix):
