@@ -44,6 +44,7 @@ from .growth import (
     Budget,
     DEFAULT_MAX_ELEMENTS,
     ElementSet,
+    check_deadline,
     generates,
     growth_scan,
     standard_generators,
@@ -155,7 +156,8 @@ class ExperimentConfig:
     budget_elems: int = _key(
         DEFAULT_MAX_ELEMENTS, f"stored-element cap (default {DEFAULT_MAX_ELEMENTS})",
         lower=1)
-    budget_secs: Optional[float] = _key(None, "wall-clock cap per expansion",
+    budget_secs: Optional[float] = _key(None, "wall-clock cap per expansion, or on "
+                                        "lemma-check's five suites together",
                                         kind=float)
     out: Optional[str] = _key(None, "output file; stdout when omitted", kind=str)
     format: str = _key("csv", choices=("csv", "json"))
@@ -422,13 +424,21 @@ def _cmd_lemma_check(cfg: ExperimentConfig, outputs: dict) -> dict:
         ("kappa-conjugation", kappa_conjugation_suite),
         ("lindep", lindep_suite),
     ]
+    # one clock for all five suites; each checks it once per block
+    budget = cfg.budget()
+    deadline = budget.start_clock()
+
+    def tick(name):
+        return lambda done: check_deadline(done, budget, deadline, name)
+
     for name, fn in suites:
         rng = stream_rng(cfg.seed, f"lemma:{name}:{n}:{p}")
-        passes, total = fn(n, p, trials, rng)
+        passes, total = fn(n, p, trials, rng, tick(name))
         rows.append(dict(zip(columns, (name, n, p, total, passes, total - passes))))
         results[name] = {"trials": total, "passes": passes}
     rng = stream_rng(cfg.seed, f"lemma:cyclic-nonvanishing:{n}:{p}")
-    failures, evals = cyclic_nonvanishing_suite(n, p, trials, rng)
+    failures, evals = cyclic_nonvanishing_suite(n, p, trials, rng,
+                                                tick("cyclic-nonvanishing"))
     rows.append(dict(zip(columns, ("cyclic-nonvanishing", n, p, evals,
                                    evals - failures, failures))))
     results["cyclic-nonvanishing"] = {

@@ -116,15 +116,17 @@ def randrange_runs(rng: Random, n: int, size: int) -> Iterator[list[int]]:
     getrandbits call, and carries what a list does not take into the
     next.  For n < 256 every value is the top byte of its word shifted
     right, so one bytes.translate maps those bytes to values and drops
-    the rejected ones; wider n shift and filter each word in a list
-    comprehension.  It reads ahead of what it yields, so give it a
-    generator that nothing else reads.
+    the rejected ones, and the values wait as bytes, one byte each;
+    wider n shift and filter each word in a list comprehension.  Each
+    list is made as it is yielded, so the caller holds the only
+    reference to it and can free it.  It reads ahead of what it yields,
+    so give it a generator that nothing else reads.
     """
     shift = _shift(n)
     if shift >= 24:  # n < 256
         value = bytes(b >> (shift - 24) for b in range(256))
         rejected = bytes(b for b in range(256) if value[b] >= n)
-    held: list[int] = []
+    held = b"" if shift >= 24 else []
     while True:
         while len(held) < size:
             m = ((size - len(held)) << (32 - shift)) // n + 1
@@ -133,8 +135,8 @@ def randrange_runs(rng: Random, n: int, size: int) -> Iterator[list[int]]:
                 held += data[3::4].translate(value, rejected)
             else:
                 held += [v for w in struct.unpack(f"<{m}I", data) if (v := w >> shift) < n]
-        yield held[:size]
-        del held[:size]
+        yield list(held[:size])
+        held = held[size:]
 
 
 def _shift(n: int) -> int:

@@ -23,9 +23,16 @@ from .field import PrimeField
 
 Mat = tuple  # flat row-major tuple of ints, length n*n
 
-# candidates per block of SpecialLinear._element_blocks, at most;
-# split_regulars cuts its blocks so that their (block, p) root table
-# stays within SPLIT_SCAN_ENTRIES entries
+# candidates drawn per block of SpecialLinear._element_blocks, whose
+# determinants and charpolys one char_poly_batch call each finds; at
+# 1024 or 2048 the lemma-check run's peak RSS rose 0.6 or 2.1 MB for no
+# time gain
+ELEMENT_BLOCK = 512
+# rows per slice of a drawn block: split_regulars classifies one slice
+# at a time against a (rows, p) root table, at most SPLIT_BLOCK rows
+# (512 rows cost the lemma-check run 0.9 MB more peak RSS) and at most
+# SPLIT_SCAN_ENTRIES entries at a wide p; elements turns one SPLIT_BLOCK
+# slice at a time into tuples
 SPLIT_BLOCK = 64
 SPLIT_SCAN_ENTRIES = 1 << 20
 # rejected candidates in a row after which split_regulars gives up
@@ -63,7 +70,8 @@ def char_poly_batch(mats: np.ndarray, p: int) -> np.ndarray:
     power = mats
     ptr = [None, mats.trace(axis1=-2, axis2=-1) % p]  # ptr[k] = tr(g^k)
     for _ in range(2, n + 1):
-        power = np.matmul(power, mats) % p
+        power = np.matmul(power, mats)
+        power %= p  # in place: a step holds three stacks, not four
         ptr.append(power.trace(axis1=-2, axis2=-1) % p)
     coeffs = np.empty(mats.shape[:-2] + (n + 1,), dtype=np.int64)
     coeffs[..., n] = 1
@@ -73,6 +81,24 @@ def char_poly_batch(mats: np.ndarray, p: int) -> np.ndarray:
         es.append(acc % p * pow(k, -1, p) % p)
         coeffs[..., n - k] = (-1) ** k * es[k] % p
     return coeffs
+
+
+def inv_batch(mats: np.ndarray, coeffs: np.ndarray, p: int) -> np.ndarray:
+    """g^-1 for every g of an int64 stack (m, n, n) with entries in
+    [0, p), from coeffs, its char_poly_batch rows: SpecialLinear.inv's
+    Cayley-Hamilton rule, its bracket g^(n-1) + a_{n-1} g^(n-2) + ...
+    + a_1 I by Horner in n - 2 matmuls.  SingularMatrix when some a_0 = 0."""
+    n = mats.shape[-1]
+    scale = [p - pow(a, -1, p) if a else None for a in coeffs[:, 0].tolist()]
+    if None in scale:
+        raise SingularMatrix("determinant is zero")
+    diag = np.arange(n)
+    value = mats.copy()
+    for k in range(n - 1, 0, -1):
+        if k < n - 1:
+            value = np.matmul(value, mats) % p
+        value[:, diag, diag] += coeffs[:, k, None]
+    return value % p * np.array(scale, dtype=np.int64)[:, None, None] % p
 
 
 class SpecialLinear:
@@ -166,13 +192,12 @@ class SpecialLinear:
 
     # -- products, inverses, powers ---------------------------------------
 
-    def inv(self, g: Mat, full: Optional[list[int]] = None) -> Mat:
+    def inv(self, g: Mat) -> Mat:
         """g^-1 by Cayley-Hamilton: with det(xI - g) = x^n + a_{n-1} x^(n-1)
         + ... + a_1 x + a_0, g^-1 = -(g^(n-1) + a_{n-1} g^(n-2) + ... + a_1 I)
-        / a_0.  `full` is char_poly_full(g), for a caller that holds it
-        already.  SingularMatrix when a_0 = 0, that is when det(g) = 0."""
-        if full is None:
-            full = self.char_poly_full(g)
+        / a_0; inv_batch applies the same rule to a stack.  SingularMatrix
+        when a_0 = 0, that is when det(g) = 0."""
+        full = self.char_poly_full(g)
         if full[0] == 0:
             raise SingularMatrix("determinant is zero")
         p = self.p
@@ -347,8 +372,14 @@ class SpecialLinear:
         The stream draws ahead of what it yields: give it a generator
         that nothing else reads."""
         n = self.n
-        for mats, coeffs in self._element_blocks(rng, SPLIT_BLOCK):
-            yield from zip(map(tuple, mats.reshape(-1, n * n).tolist()), coeffs.tolist())
+        for mats, coeffs in self._element_blocks(rng):
+            flat = mats.reshape(-1, n * n)
+            for lo in range(0, len(flat), SPLIT_BLOCK):
+                yield from zip(map(tuple, flat[lo : lo + SPLIT_BLOCK].tolist()),
+                               coeffs[lo : lo + SPLIT_BLOCK].tolist())
+            # dropped before the next block is drawn, which would hold
+            # both at its peak; the same in split_regulars
+            del mats, coeffs, flat
 
     def split_regulars(self, rng):
         """Endless stream of (g, eigenvalues sorted ascending) for split
@@ -357,37 +388,43 @@ class SpecialLinear:
 
         A candidate splits iff its charpoly, evaluated at every x through
         powers[k, x] = x^k mod p, has n zeros; one matmul classifies a
-        block.  The stream draws ahead of what it yields: give it a
-        generator that nothing else reads.  Raises ValueError after
-        SPLIT_MAX_TRIES candidates in a row are rejected.
+        slice of at most min(SPLIT_BLOCK, SPLIT_SCAN_ENTRIES // p) rows
+        of a drawn block.  The stream draws ahead of what it yields:
+        give it a generator that nothing else reads.  Raises ValueError
+        after SPLIT_MAX_TRIES candidates in a row, counted across slices
+        and blocks, are rejected.
         """
         n, p = self.n, self.p
-        block = min(SPLIT_BLOCK, SPLIT_SCAN_ENTRIES // p)
+        rows = min(SPLIT_BLOCK, SPLIT_SCAN_ENTRIES // p)
         powers = np.ones((n + 1, p), dtype=np.int64)  # x^k mod p, every x
         for k in range(1, n + 1):
             powers[k] = powers[k - 1] * np.arange(p) % p
         misses = 0
-        for mats, coeffs in self._element_blocks(rng, block):
-            values = np.matmul(coeffs, powers)
-            values %= p
-            roots = values == 0
-            split = roots.sum(axis=1) == n
-            found = zip(map(tuple, mats.reshape(-1, n * n)[split].tolist()),
-                        (np.flatnonzero(row).tolist() for row in roots[split]))
-            for ok in split.tolist():
-                if ok:
-                    misses = 0
-                    yield next(found)
-                    continue
-                misses += 1
-                if misses == SPLIT_MAX_TRIES:
-                    # SL_2(F_3), for one, has no split regular element
-                    raise ValueError("no split regular element found; field too small?")
+        for mats, coeffs in self._element_blocks(rng):
+            flat = mats.reshape(-1, n * n)
+            for lo in range(0, len(flat), rows):
+                values = np.matmul(coeffs[lo : lo + rows], powers)
+                values %= p
+                roots = values == 0
+                split = roots.sum(axis=1) == n
+                found = zip(map(tuple, flat[lo : lo + rows][split].tolist()),
+                            (np.flatnonzero(row).tolist() for row in roots[split]))
+                for ok in split.tolist():
+                    if ok:
+                        misses = 0
+                        yield next(found)
+                        continue
+                    misses += 1
+                    if misses == SPLIT_MAX_TRIES:
+                        # SL_2(F_3), for one, has no split regular element
+                        raise ValueError("no split regular element found; field too small?")
+                del values, roots, found
+            del mats, coeffs, flat
 
-    def _element_blocks(self, rng, block: int):
+    def _element_blocks(self, rng):
         """Endless stream of (mats, charpolys), random_element's draws
-        in bulk.  Each block of block*n*n consecutive rng.randrange(p)
-        values, read from whole generator words by
+        in bulk.  Each block of ELEMENT_BLOCK*n*n consecutive
+        rng.randrange(p) values, read from whole generator words by
         draws.randrange_runs, is cut into n x n chunks; the chunks with
         det != 0 (random_element draws singular ones again), their last
         column scaled by 1/det, form the int64 stack mats, and
@@ -396,8 +433,9 @@ class SpecialLinear:
         from .draws import randrange_runs
 
         n, p = self.n, self.p
-        for draws in randrange_runs(rng, p, block * n * n):
+        for draws in randrange_runs(rng, p, ELEMENT_BLOCK * n * n):
             mats = np.array(draws, dtype=np.int64).reshape(-1, n, n)
+            del draws  # the one reference: randrange_runs keeps none
             det = char_poly_batch(mats, p)[:, 0] * (-1) ** n % p
             mats = mats[det != 0]
             scale = [self.field.inv(d) for d in det[det != 0].tolist()]

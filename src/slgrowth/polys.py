@@ -136,7 +136,7 @@ def rational_roots(f: list, field: PrimeField) -> list[int]:
     lemma-check's lindep witnesses do not come through here: their
     candidates, blocks of SpecialLinear's seeded element stream, are
     classified in numpy by `SpecialLinear.split_regulars`, one table of
-    values at every residue per block.
+    values at every residue per slice of a block.
     """
     return [x for x in range(field.p) if evaluate(f, x, field.p) == 0]
 

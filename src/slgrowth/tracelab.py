@@ -269,14 +269,6 @@ class FVector:
 
     coefficients: tuple
 
-    def predicts(self, space: SpecialLinear, powers: list, g: Mat) -> bool:
-        """tr(t^n g) = sum_k r_k tr(t^k g), for this f(t) and the powers
-        [I, t, ..., t^n] of the same t."""
-        n = space.n
-        rhs = sum(r * space.trace_product(powers[k], g)
-                  for k, r in enumerate(self.coefficients))
-        return space.trace_product(powers[n], g) == rhs % space.p
-
 
 def f_from_char_poly(space: SpecialLinear, full: list) -> FVector:
     """f(t) read off the coefficients of det(xI - t) = sum_k a_k x^k,

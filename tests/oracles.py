@@ -6,7 +6,9 @@ pair counting) so that agreement with the package is evidence, not an
 echo.  Nothing in this file imports package internals beyond the public
 constructors needed to drive it.  The omit-one determinants are taken
 by exact elimination (det_oracle), and the lemma-check suites are kept
-here in their one-trial-at-a-time form on top of them.
+here in their one-trial-at-a-time form on top of them; the f-identity
+and kappa-conjugation ones form each product and trace per trial with
+SpecialLinear's tuple kernels, where the suites batch them in numpy.
 """
 
 import itertools
@@ -18,6 +20,7 @@ from slgrowth import (
     SpecialLinear,
     cyclic_product_coordinates,
     elementary_symmetric,
+    f_of,
     vandermonde_product,
 )
 
@@ -545,3 +548,42 @@ def cyclic_nonvanishing_suite_by_trial(n, p, trials, rng):
                 if generalized_vandermonde_det(fld, q, i) == 0:
                     failures += 1
     return failures, evals
+
+
+def predicts(space, fvector, powers, g):
+    """tr(t^n g) = sum_k r_k tr(t^k g), for f(t) = fvector and the powers
+    [I, t, ..., t^n] of the same t, one trace_product per term."""
+    n = space.n
+    rhs = sum(r * space.trace_product(powers[k], g)
+              for k, r in enumerate(fvector.coefficients))
+    return space.trace_product(powers[n], g) == rhs % space.p
+
+
+def f_identity_suite_by_trial(n, p, trials, rng):
+    """lemmas.f_identity_suite, one trial at a time: t is the next
+    element of the stream that is regular semisimple, g the one after
+    it, f(t) comes from f_of and the powers of t from power_list."""
+    space = SpecialLinear(n, p)
+    stream = space.elements(rng)
+    passes = 0
+    for _ in range(trials):
+        t = next(t for t, _ in stream if space.is_regular_semisimple(t))
+        g, _ = next(stream)
+        if predicts(space, f_of(space, t), space.power_list(t, n), g):
+            passes += 1
+    return passes, trials
+
+
+def kappa_conjugation_suite_by_trial(n, p, trials, rng):
+    """lemmas.kappa_conjugation_suite, one pair at a time: h g h^-1 by
+    matmul_oracle and SpecialLinear.inv, against the charpoly that the
+    stream yields with g."""
+    space = SpecialLinear(n, p)
+    stream = space.elements(rng)
+    passes = 0
+    for _ in range(trials):
+        (g, full), (h, _) = next(stream), next(stream)
+        conj = matmul_oracle(n, p, matmul_oracle(n, p, h, g), space.inv(h))
+        if space.char_poly_full(conj) == full:
+            passes += 1
+    return passes, trials

@@ -119,6 +119,45 @@ def test_exit_code_budget_exceeded(capsys):
     assert manifest["info"]["partial_count"] > 20
 
 
+def test_lemma_check_honours_budget_secs():
+    """6,000 trials take seconds; the clock is checked once per block of
+    each suite, so the run ends in about the budget, exit 3 with one
+    manifest that names the suite.  A subprocess, so that a run that
+    ignores the budget fails by timeout."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-m", "slgrowth.cli", "lemma-check", "--n", "4", "--p", "101",
+         "--trials", "6000", "--budget-secs", "0.05"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 3
+    assert proc.stderr == ""
+    manifest = json.loads(proc.stdout)
+    assert manifest["status"] == "budget-exceeded"
+    assert manifest["info"]["stage"] in {"vander-identity", "f-identity",
+                                         "kappa-conjugation", "lindep",
+                                         "cyclic-nonvanishing"}
+    assert manifest["info"]["partial_count"] < 6000
+    assert manifest["wall_seconds"] < 0.05 + 1.0
+
+
+@pytest.mark.parametrize("stage", ["vander-identity", "f-identity", "kappa-conjugation",
+                                   "lindep", "cyclic-nonvanishing"])
+def test_lemma_check_budget_names_each_suite(monkeypatch, capsys, stage):
+    """Each suite checks the one clock under its own name: expire the
+    deadline for one stage only, and the run stops at its first block."""
+    check_deadline = cli.check_deadline
+
+    def expire_for_stage(count, budget, deadline, what):
+        check_deadline(count, budget, 0.0 if what == stage else deadline, what)
+
+    monkeypatch.setattr(cli, "check_deadline", expire_for_stage)
+    code, _, manifest = run_cli(capsys, ["lemma-check", "--n", "3", "--p", "7",
+                                         "--trials", "40", "--budget-secs", "100"])
+    assert code == 3
+    assert manifest["info"] == {"stage": stage, "partial_count": 0}
+
+
 def test_exit_code_generation_failed(capsys):
     code, _, manifest = run_cli(
         capsys,

@@ -12,7 +12,6 @@ exactly those items.
 import hashlib
 
 from slgrowth import SpecialLinear, cli, lemmas
-from slgrowth.tracelab import FVector
 
 from oracles import regular_semisimple, split_regular_oracle
 
@@ -78,15 +77,13 @@ def pulled_from(monkeypatch, name):
 
 
 def test_f_identity_suite_reads_the_frozen_stream(monkeypatch):
-    pairs = []
-    predicts = FVector.predicts
-
-    def spy(self, space, powers, g):
-        pairs.append((powers[1], g))
-        return predicts(self, space, powers, g)
-
-    monkeypatch.setattr(FVector, "predicts", spy)
+    """The elements the suite pulls, read back into (t, g) pairs by the
+    rule it states: t the next regular semisimple one, g the next."""
+    pulled = pulled_from(monkeypatch, "elements")
     assert lemmas.f_identity_suite(N, P, COUNT, suite_rng("f-identity")) == (COUNT, COUNT)
+    space = SpecialLinear(N, P)
+    items = iter(g for g, _ in pulled)
+    pairs = [(t, next(items)) for t in items if space.is_regular_semisimple(t)]
     assert digest(pairs) == F_IDENTITY
 
 

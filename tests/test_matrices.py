@@ -14,8 +14,9 @@ from slgrowth import (
     SpecialLinear,
     full_group,
 )
-from slgrowth import cli, draws
-from slgrowth.matrices import SPLIT_BLOCK, SPLIT_SCAN_ENTRIES, char_poly_batch
+from slgrowth import cli, draws, matrices
+from slgrowth.matrices import (ELEMENT_BLOCK, SPLIT_BLOCK, SPLIT_SCAN_ENTRIES,
+                               char_poly_batch, inv_batch)
 
 from oracles import (
     charpoly_oracle,
@@ -135,22 +136,25 @@ def test_inverse_examples_and_law():
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_inverse_of_invertible_matrices_off_the_group(n, p):
     """Cayley-Hamilton needs only det != 0: arbitrary invertible
-    matrices, det = 1 or not, get a two-sided inverse, and a charpoly
-    handed in gives the same one."""
+    matrices, det = 1 or not, get a two-sided inverse, and inv_batch
+    gives the same ones from the stack's charpolys."""
     space = sl(n, p)
     rng = Random(n * p + 1)
     e = space.identity()
-    off_group = 0
+    invertible = []
     for _ in range(20):
         g = tuple(rng.randrange(p) for _ in range(n * n))
         d = det_oracle(space.to_rows(g), p)
         if d == 0:
             continue
-        off_group += d != 1
+        invertible.append((g, d))
         h = space.inv(g)
         assert matmul_oracle(n, p, g, h) == e == matmul_oracle(n, p, h, g)
-        assert space.inv(g, space.char_poly_full(g)) == h
-    assert off_group >= 8
+    assert sum(d != 1 for _, d in invertible) >= 8
+    stack = np.array([g for g, _ in invertible], dtype=np.int64).reshape(-1, n, n)
+    got = inv_batch(stack, char_poly_batch(stack, p), p)
+    assert list(map(tuple, got.reshape(-1, n * n).tolist())) == [
+        space.inv(g) for g, _ in invertible]
 
 
 def test_inverse_of_singular_raises():
@@ -167,6 +171,12 @@ def test_inverse_of_singular_raises():
         space = sl(len(rows), 7)
         with pytest.raises(SingularMatrix):
             space.inv(space.from_rows(rows))
+        # one singular matrix among invertible ones fails the whole stack
+        n = len(rows)
+        stack = np.array([space.identity(), space.from_rows(rows)],
+                         dtype=np.int64).reshape(-1, n, n)
+        with pytest.raises(SingularMatrix):
+            inv_batch(stack, char_poly_batch(stack, 7), 7)
 
 
 def test_det_closed_forms_match_product_rule():
@@ -421,10 +431,10 @@ def test_random_regular_semisimple():
 
 
 @pytest.mark.parametrize("n", [3, 4])
-def test_f_identity_builds_the_powers_of_t_once(monkeypatch, n):
-    """Each f-identity trial reads t, g and t's charpoly from the
-    element stream and builds the powers of t once: one power_list
-    call, no char_poly_full call and no random_element call."""
+def test_f_identity_suite_makes_no_per_element_calls(monkeypatch, n):
+    """The f-identity suite reads t, g and t's charpoly from the
+    element stream and forms the powers t^k g in numpy: no power_list,
+    char_poly_full or random_element call."""
     calls = {"power_list": 0, "char_poly_full": 0, "random_element": 0}
     for name in calls:
         method = getattr(SpecialLinear, name)
@@ -437,7 +447,7 @@ def test_f_identity_builds_the_powers_of_t_once(monkeypatch, n):
     trials = 40
     passes, ran = cli.f_identity_suite(n, 31, trials, Random(2))
     assert passes == ran == trials
-    assert calls == {"power_list": trials, "char_poly_full": 0, "random_element": 0}
+    assert calls == {"power_list": 0, "char_poly_full": 0, "random_element": 0}
 
 
 # ---------------------------------------------------------------------------
@@ -540,20 +550,37 @@ def test_elements_read_whole_words(monkeypatch):
     assert got == want
 
 
+def candidates_through(space, seed, g):
+    """How many elements random_element(Random(seed)) calls return up
+    to and including g."""
+    return next(i for i, (h, _) in enumerate(space.elements(Random(seed)), 1) if h == g)
+
+
+def test_split_regulars_cross_slices_and_blocks():
+    """1,000 witnesses of SL_4(F_101) take some 25,000 candidates: many
+    element blocks, each classified in several root-table slices."""
+    space = sl(4, 101)
+    oracle_rng = Random(5)
+    want = [split_regular_oracle(space, oracle_rng) for _ in range(1000)]
+    assert list(itertools.islice(space.split_regulars(Random(5)), 1000)) == want
+    assert candidates_through(space, 5, want[-1][0]) > 10 * ELEMENT_BLOCK
+
+
 def test_split_regulars_bound_the_root_table_at_wide_p():
     space = sl(2, 65521)
-    block = min(SPLIT_BLOCK, SPLIT_SCAN_ENTRIES // space.p)
-    assert 1 <= block and block * space.p <= SPLIT_SCAN_ENTRIES
+    rows = min(SPLIT_BLOCK, SPLIT_SCAN_ENTRIES // space.p)
+    assert 1 <= rows and rows * space.p <= SPLIT_SCAN_ENTRIES
     oracle_rng = Random(4)
-    want = [split_regular_oracle(space, oracle_rng) for _ in range(5)]
+    want = [split_regular_oracle(space, oracle_rng) for _ in range(20)]
+    assert candidates_through(space, 4, want[-1][0]) > 2 * rows
     tracemalloc.start()
     try:
-        got = list(itertools.islice(space.split_regulars(Random(4)), 5))
+        got = list(itertools.islice(space.split_regulars(Random(4)), 20))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert got == want
-    # one (block, p) int64 table of values, its zero mask and x^k mod p
+    # one (rows, p) int64 table of values, its zero mask and x^k mod p
     assert peak < 2 * 8 * SPLIT_SCAN_ENTRIES
 
 
@@ -565,6 +592,36 @@ def test_split_regulars_give_up_on_sl2_f3():
         split_regular_oracle(space, Random(0))
     with pytest.raises(ValueError, match="no split regular element found"):
         next(space.split_regulars(Random(0)))
+
+
+@pytest.mark.parametrize("one_row_blocks", [False, True])
+def test_split_regulars_give_up_after_exactly_max_tries(monkeypatch, one_row_blocks):
+    """The misses count runs on across slices and blocks.  A block of
+    ELEMENT_BLOCK draws holds about 300 candidates of SL_2(F_3), so 700
+    tries straddle two block boundaries and give up in the third block;
+    fed one candidate per block, the stream gives up at exactly the
+    700th."""
+    tries = 700
+    monkeypatch.setattr(matrices, "SPLIT_MAX_TRIES", tries)
+    blocks = SpecialLinear._element_blocks
+    rows = []
+
+    def counted(self, rng):
+        for mats, coeffs in blocks(self, rng):
+            pieces = ([(mats[i : i + 1], coeffs[i : i + 1]) for i in range(len(mats))]
+                      if one_row_blocks else [(mats, coeffs)])
+            for piece in pieces:
+                assert sum(rows) < 2 * tries, "drew on past SPLIT_MAX_TRIES misses"
+                rows.append(len(piece[0]))
+                yield piece
+
+    monkeypatch.setattr(SpecialLinear, "_element_blocks", counted)
+    with pytest.raises(ValueError, match="no split regular element found"):
+        next(sl(2, 3).split_regulars(Random(0)))
+    if one_row_blocks:
+        assert len(rows) == tries
+    else:
+        assert sum(rows[:-1]) < tries <= sum(rows) and len(rows) == 3
 
 
 # ---------------------------------------------------------------------------

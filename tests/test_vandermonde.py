@@ -5,9 +5,11 @@ import itertools
 import math
 from random import Random
 
+import numpy as np
 import pytest
 
 from slgrowth import (
+    FVector,
     PrimeField,
     SpecialLinear,
     cyclic_product_coordinates,
@@ -15,9 +17,12 @@ from slgrowth import (
     omit_one_dets,
     vandermonde_product,
 )
+from slgrowth import lemmas, tracelab
 from slgrowth.lemmas import (
     SUITE_BLOCK,
     cyclic_nonvanishing_suite,
+    f_identity_suite,
+    kappa_conjugation_suite,
     lindep_suite,
     vander_identity_suite,
 )
@@ -26,7 +31,9 @@ from slgrowth.tracelab import lindep_checks
 from oracles import (
     cyclic_nonvanishing_suite_by_trial,
     elementary_symmetric_bruteforce,
+    f_identity_suite_by_trial,
     generalized_vandermonde_det,
+    kappa_conjugation_suite_by_trial,
     lindep_check_by_elimination,
     lindep_suite_by_trial,
     vander_identity_suite_by_trial,
@@ -234,6 +241,83 @@ def test_cyclic_suite_matches_per_trial(trials):
         assert got == cyclic_nonvanishing_suite_by_trial(n, p, trials, by_trial)
         assert got[1] == trials * (n - 1) * (n + 1)
         assert batched.getstate() == by_trial.getstate()
+
+
+# (n, p) for the group-element suites: n = 2..5, a small and a larger p each
+ELEMENT_SUITE_SPACES = ((2, 5), (2, 101), (3, 7), (3, 31), (4, 11), (4, 101), (5, 7), (5, 13))
+
+
+@pytest.mark.parametrize("trials", [1, SUITE_BLOCK - 1, SUITE_BLOCK, SUITE_BLOCK + 1, 600])
+@pytest.mark.parametrize("batched_suite,by_trial_suite", [
+    (f_identity_suite, f_identity_suite_by_trial),
+    (kappa_conjugation_suite, kappa_conjugation_suite_by_trial),
+])
+def test_element_suites_match_per_trial(batched_suite, by_trial_suite, trials):
+    for n, p in ELEMENT_SUITE_SPACES:
+        batched, by_trial = Random(trials + n * p), Random(trials + n * p)
+        assert batched_suite(n, p, trials, batched) == \
+            by_trial_suite(n, p, trials, by_trial) == (trials, trials)
+        assert batched.getstate() == by_trial.getstate()
+
+
+def first_of_each_block(fault):
+    """A wrapper that applies fault(result) to the result of every
+    SUITE_BLOCK-th call, the first call included: one trial per block."""
+    def wrap(fn):
+        calls = itertools.count()
+
+        def wrapped(*args):
+            result = fn(*args)
+            return fault(result) if next(calls) % SUITE_BLOCK == 0 else result
+        return wrapped
+    return wrap
+
+
+@pytest.mark.parametrize("n,p", [(3, 7), (4, 101)])
+def test_f_identity_suites_count_a_wrong_r0_alike(monkeypatch, n, p):
+    """r_0 + 1 in the first trial of each block: both forms read f(t)
+    through f_from_char_poly, and each faulty trial fails unless
+    tr(g) = 0, so both count the same failures."""
+    wrong_r0 = first_of_each_block(
+        lambda f: FVector(((f.coefficients[0] + 1) % p,) + f.coefficients[1:]))
+    for module in (lemmas, tracelab):
+        monkeypatch.setattr(module, "f_from_char_poly", wrong_r0(module.f_from_char_poly))
+    trials = 3 * SUITE_BLOCK + 5
+    got = f_identity_suite(n, p, trials, Random(n))
+    assert got == f_identity_suite_by_trial(n, p, trials, Random(n))
+    assert 0 < trials - got[0] <= 4
+
+
+@pytest.mark.parametrize("n,p", [(3, 7), (4, 101)])
+def test_kappa_suites_count_a_wrong_inverse_alike(monkeypatch, n, p):
+    """h^-1 off by one in its first entry, in the first pair of each
+    block: inv_batch's first row for the batched suite, every
+    SUITE_BLOCK-th SpecialLinear.inv call for the per-trial one."""
+    def bump(mats):
+        mats = np.array(mats, dtype=np.int64).reshape(-1, n * n)
+        mats[0, 0] = (mats[0, 0] + 1) % p
+        return mats.reshape(-1, n, n)
+
+    inv_batch = lemmas.inv_batch  # one call per block
+    monkeypatch.setattr(lemmas, "inv_batch", lambda *args: bump(inv_batch(*args)))
+    monkeypatch.setattr(SpecialLinear, "inv", first_of_each_block(
+        lambda h: tuple(bump(h).ravel().tolist()))(SpecialLinear.inv))
+    trials = 3 * SUITE_BLOCK + 5
+    got = kappa_conjugation_suite(n, p, trials, Random(n))
+    assert got == kappa_conjugation_suite_by_trial(n, p, trials, Random(n)) == (trials - 4, trials)
+
+
+@pytest.mark.parametrize("suite", [vander_identity_suite, f_identity_suite,
+                                   kappa_conjugation_suite, lindep_suite,
+                                   cyclic_nonvanishing_suite])
+def test_suites_tick_before_each_block(suite):
+    """lemma-check's clock is checked once per block, with the trials
+    done so far; the cyclic suite's block is SUITE_BLOCK // (n // 2)."""
+    n, p, trials = 4, 101, 70
+    ticks = []
+    suite(n, p, trials, Random(3), ticks.append)
+    block = SUITE_BLOCK // (n // 2) if suite is cyclic_nonvanishing_suite else SUITE_BLOCK
+    assert ticks == list(range(0, trials, block))
 
 
 @pytest.mark.parametrize("n,p,counts", [(3, 7, {0, 2, 4}), (4, 5, {5}),
