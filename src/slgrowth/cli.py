@@ -57,7 +57,7 @@ from .tracelab import (
     dyadic_bins,
     f_of,
     popular_tuple,
-    shift_table,
+    shift_tables,
 )
 # unused here, but perfbench/traced.py looks both names up in this module
 from .tracelab import class_tuple, trace_tuple  # noqa: F401
@@ -358,8 +358,9 @@ def _witnesses_for(space: SpecialLinear, source: ElementSet) -> list:
     """Split regular witnesses from the source ball, one per invariant
     tuple, in canonical order."""
     by_kappa: dict = {}
-    for g in sorted(source.members):
-        if space.split_eigenvalues(g) is not None:
+    members = sorted(source.members)
+    for g, eigs in zip(members, space.split_eigenvalues_batch(members)):
+        if eigs is not None:
             by_kappa.setdefault(space.char_poly(g), g)
     return [by_kappa[k] for k in sorted(by_kappa)]
 
@@ -375,9 +376,8 @@ def _cmd_trace_lab(cfg: ExperimentConfig, outputs: dict) -> dict:
     fvectors = []
     info: dict = {"witnesses": len(witnesses), "pool_size": len(pool)}
     per_witness = {}
-    for t in witnesses:
+    for t, table in zip(witnesses, shift_tables(pool, witnesses)):
         t_hex = space.kappa_hex(space.char_poly(t))
-        table = shift_table(t, pool)
         bins = dyadic_bins(t, pool, table)
         # the JSON spells bin and f-vector values as their CSV cells
         bin_rows.extend(
@@ -487,12 +487,10 @@ def _cmd_vital(cfg: ExperimentConfig, outputs: dict) -> dict:
     base = word_ball(gens, cfg.radius, cfg.budget())
     kmax = max(cfg.k_list)
     witness_ball = word_ball(base, kmax, cfg.budget())
-    D = ElementSet(
-        space,
-        frozenset(
-            t for t in witness_ball if space.split_eigenvalues(t) is not None
-        ),
-    )
+    members = list(witness_ball.members)
+    D = ElementSet(space, frozenset(
+        t for t, eigs in zip(members, space.split_eigenvalues_batch(members))
+        if eigs is not None))
     if not len(D):
         raise ValueError(
             "no split regular witnesses in the scanned ball; "

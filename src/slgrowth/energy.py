@@ -26,7 +26,7 @@ from .tracelab import (
     fiber_exponent,
     lindep_checks,
     popular_tuple,
-    shift_table,
+    shift_tables,
 )
 
 _CHUNK_ENTRIES = 8_000_000  # cap on the live difference-table block
@@ -140,8 +140,8 @@ def assemble_vital_instance(A: ElementSet, D: ElementSet, pool_radius: int,
     Y collects the coefficient vectors f(t), and the fiber of f(t) holds
     the realized tuples (tr(a), ..., tr(t^{n-1} a)).  The budget's
     seconds hold for the witness loop too, checked before each witness,
-    after every chunk of its shift table and after every shift of its
-    dyadic bins.
+    after every block of the pool's decoding and of its shift table, and
+    after every shift of its dyadic bins.
     """
     space = A.space
     if D.space != space:
@@ -150,37 +150,44 @@ def assemble_vital_instance(A: ElementSet, D: ElementSet, pool_radius: int,
         raise ValueError("vital instances need a nonempty witness set D")
     n = space.n
     field = space.field
-    eigenvalues = {t: space.require_split(t, "vital instances") for t in D.members}
+    witnesses = D.sorted_members()
+    eigenvalues = space.split_eigenvalues_batch(witnesses)
+    for t, eigs in zip(witnesses, eigenvalues):
+        if eigs is None:
+            space.require_split(t, "vital instances")  # raises the reason
 
     pool = word_ball(A, pool_radius, budget)
     kept: list[Mat] = []
     excluded: list[Mat] = []
-    witnesses = D.sorted_members()
-    checks = lindep_checks(field, [eigenvalues[t] for t in witnesses])
-    for t, independent in zip(witnesses, checks):
+    for t, independent in zip(witnesses, lindep_checks(field, eigenvalues)):
         (kept if independent else excluded).append(t)
 
     x_values: set = set()
     assignments: dict = {}
     deadline = budget.start_clock()
-    for done, t in enumerate(kept):
-        def tick(_):
-            check_deadline(done, budget, deadline, "vital witnesses")
+    done = 0
 
+    def tick(_):
+        check_deadline(done, budget, deadline, "vital witnesses")
+
+    # the pool is decoded once, as the first table is asked for
+    tables = shift_tables(pool, kept, tick)
+    for done, t in enumerate(kept):
         tick(None)
-        table = shift_table(t, pool, tick)
+        table = next(tables)
         try:
-            popular = popular_tuple(dyadic_bins(t, pool, table, tick))
-            members = popular.members.members
+            columns = popular_tuple(dyadic_bins(t, pool, table, tick)).columns
         except NoBins:
-            members = frozenset()
+            columns = []
         y = f_of(space, t).coefficients
-        tuples = assignments.setdefault(y, set())
-        # the table's column j holds tr(t^i g) for g = table.members[j]
-        columns = [j for j, g in enumerate(table.members) if g in members]
-        for shifted_traces in table.traces[:, columns].T.tolist():
-            x_values.update(shifted_traces)
-            tuples.add(tuple(shifted_traces[:n]))
+        # the popular bin's shifted traces, one column per member
+        shifted = table.traces[:, columns]
+        x_values.update(np.flatnonzero(np.bincount(shifted.ravel(), minlength=field.p)).tolist())
+        # its distinct tuples: the last column of each run, in lexicographic order
+        heads = shifted[:n, np.lexsort(shifted[:n])]
+        last = (heads[:, :-1] != heads[:, 1:]).any(axis=0)
+        heads = np.concatenate([heads[:, :-1][:, last], heads[:, -1:]], axis=1)
+        assignments.setdefault(y, set()).update(map(tuple, heads.T.tolist()))
 
     X = ScalarSet(field, frozenset(x_values))
     Y = VectorSet(field, frozenset(assignments))

@@ -13,6 +13,7 @@ det(g) = (-1)^n chi_g(0), and g^-1 by Cayley-Hamilton.
 from __future__ import annotations
 
 import enum
+from itertools import combinations
 from typing import Optional, Sequence
 
 import numpy as np
@@ -81,6 +82,16 @@ def char_poly_batch(mats: np.ndarray, p: int) -> np.ndarray:
         es.append(acc % p * pow(k, -1, p) % p)
         coeffs[..., n - k] = (-1) ** k * es[k] % p
     return coeffs
+
+
+def compound_batch(mats: np.ndarray, j: int, p: int) -> np.ndarray:
+    """j-th compounds of an int64 stack (..., n, n) with entries in
+    [0, p): entry [I, J] is the minor det g[I, J] mod p, the j-sets in
+    combinations order, each (-1)^j chi(0) of its submatrix.  By
+    Cauchy-Binet the compound is multiplicative; its trace is e_j."""
+    sets = np.array(list(combinations(range(mats.shape[-1]), j)))
+    minors = mats[..., sets[:, None, :, None], sets[None, :, None, :]]
+    return char_poly_batch(minors, p)[..., 0] * (-1) ** j % p
 
 
 def inv_batch(mats: np.ndarray, coeffs: np.ndarray, p: int) -> np.ndarray:
@@ -270,7 +281,7 @@ class SpecialLinear:
         polynomial, which divides chi and has its irreducible factors,
         divides rad(chi) (Humphreys, Linear Algebraic Groups, 15.1).
         rad(chi)(g) comes from _horner, which inv shares.
-        tracelab._semisimple applies the same rule per class in numpy.
+        tracelab.shift_tables applies it per class in numpy.
         No subcommand calls this per-element reference; perfbench/kernels.py
         times it.
         """
@@ -381,45 +392,56 @@ class SpecialLinear:
             # both at its peak; the same in split_regulars
             del mats, coeffs, flat
 
+    def split_eigenvalues_batch(self, members: Sequence[Mat]) -> list[Optional[list[int]]]:
+        """split_eigenvalues of each member, SPLIT_BLOCK at a time."""
+        n, out = self.n, []
+        for lo in range(0, len(members), SPLIT_BLOCK):
+            mats = np.array(members[lo : lo + SPLIT_BLOCK], dtype=np.int64).reshape(-1, n, n)
+            out += self._split_rows(char_poly_batch(mats, self.p))
+        return out
+
     def split_regulars(self, rng):
         """Endless stream of (g, eigenvalues sorted ascending) for split
         regular semisimple g: the elements that repeated
         random_element(rng) calls filtered by split_eigenvalues yield.
-
-        A candidate splits iff its charpoly, evaluated at every x through
-        powers[k, x] = x^k mod p, has n zeros; one matmul classifies a
-        slice of at most min(SPLIT_BLOCK, SPLIT_SCAN_ENTRIES // p) rows
-        of a drawn block.  The stream draws ahead of what it yields:
-        give it a generator that nothing else reads.  Raises ValueError
-        after SPLIT_MAX_TRIES candidates in a row, counted across slices
-        and blocks, are rejected.
+        The stream draws ahead of what it yields: give it a generator
+        that nothing else reads.  Raises ValueError after SPLIT_MAX_TRIES
+        candidates in a row are rejected.
         """
-        n, p = self.n, self.p
-        rows = min(SPLIT_BLOCK, SPLIT_SCAN_ENTRIES // p)
-        powers = np.ones((n + 1, p), dtype=np.int64)  # x^k mod p, every x
-        for k in range(1, n + 1):
-            powers[k] = powers[k - 1] * np.arange(p) % p
         misses = 0
         for mats, coeffs in self._element_blocks(rng):
-            flat = mats.reshape(-1, n * n)
-            for lo in range(0, len(flat), rows):
-                values = np.matmul(coeffs[lo : lo + rows], powers)
-                values %= p
-                roots = values == 0
-                split = roots.sum(axis=1) == n
-                found = zip(map(tuple, flat[lo : lo + rows][split].tolist()),
-                            (np.flatnonzero(row).tolist() for row in roots[split]))
-                for ok in split.tolist():
-                    if ok:
-                        misses = 0
-                        yield next(found)
-                        continue
-                    misses += 1
-                    if misses == SPLIT_MAX_TRIES:
-                        # SL_2(F_3), for one, has no split regular element
-                        raise ValueError("no split regular element found; field too small?")
-                del values, roots, found
+            flat = mats.reshape(len(mats), -1)
+            for g, eigenvalues in zip(flat, self._split_rows(coeffs)):
+                if eigenvalues is not None:
+                    misses = 0
+                    yield tuple(g.tolist()), eigenvalues
+                    continue
+                misses += 1
+                if misses == SPLIT_MAX_TRIES:
+                    # SL_2(F_3), for one, has no split regular element
+                    raise ValueError("no split regular element found; field too small?")
             del mats, coeffs, flat
+
+    def _split_rows(self, coeffs: np.ndarray) -> list[Optional[list[int]]]:
+        """The n roots, ascending, of each charpoly row of coeffs that
+        has n in F_p, else None: one matmul against x^k mod p per slice
+        of min(SPLIT_BLOCK, SPLIT_SCAN_ENTRIES // p) rows."""
+        n, p = self.n, self.p
+        rows = min(SPLIT_BLOCK, SPLIT_SCAN_ENTRIES // p)
+        powers = np.ones((n + 1, p), dtype=np.int64)
+        for k in range(1, n + 1):
+            powers[k] = powers[k - 1] * np.arange(p) % p
+        out: list = []
+        for lo in range(0, len(coeffs), rows):
+            values = np.matmul(coeffs[lo : lo + rows], powers)
+            values %= p  # in place: the slice's largest array
+            row, root = np.nonzero(values == 0)
+            del values
+            roots, at = root.tolist(), 0
+            for count in np.bincount(row, minlength=min(rows, len(coeffs) - lo)).tolist():
+                out.append(roots[at : at + count] if count == n else None)
+                at += count
+        return out
 
     def _element_blocks(self, rng):
         """Endless stream of (mats, charpolys), random_element's draws

@@ -7,9 +7,9 @@ invariants among pool elements with tr(t^i g) = r and t^i g semisimple.
 Pool elements whose n+1 shifts are all semisimple get sorted into
 dyadic bins by the tuple of wealth magnitudes.  Wealth, bins and the
 distinct tuple counts are all read off one shift table, which holds the
-trace, invariant and semisimplicity of every t^k g, computed in numpy;
-semisimplicity is rad(chi)(t^k g) = 0, with rad(chi) taken once per
-class by polys.radical.
+trace, invariant and semisimplicity of every t^k g, from linear forms
+in the pool's compound matrices (Cauchy-Binet); semisimplicity is
+rad(chi)(t^k g) = 0, with rad(chi) taken once per class.
 
 The f map sends t to the coefficient vector (r_0, ..., r_{n-1}) with
 
@@ -21,11 +21,10 @@ for k >= 1 and r_0 = (-1)^(n+1).
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from math import factorial, log
+from functools import partial
+from math import comb, factorial, log
 
 import numpy as np
 
@@ -33,7 +32,7 @@ from . import polys
 from .errors import FiberBoundViolation, InvalidWitness, NoBins, NotInGroup
 from .field import PrimeField
 from .growth import ElementSet
-from .matrices import Mat, SpecialLinear, char_poly_batch
+from .matrices import Mat, SpecialLinear, compound_batch
 from .vandermonde import omit_one_dets
 
 
@@ -79,8 +78,10 @@ def class_tuple(space: SpecialLinear, g: Mat, t: Mat, i: int) -> ClassTuple:
     return ClassTuple(omitted_index=i, values=values)
 
 
-# pool members per batched product; bounds the temporaries' memory
-SHIFT_CHUNK = 128
+# pool members per block of a shift table, which bounds its temporaries
+SHIFT_BLOCK = 128
+# most codes whose class ids an array holds (128 KB); past it, a dict
+CLASS_TABLE = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -99,83 +100,132 @@ class ShiftTable:
     semisimple: np.ndarray  # (n+1, m) bool
 
 
-def _traces_and_codes(space: SpecialLinear, shifted: np.ndarray, dtype):
-    """Traces and packed invariants of a stack of matrices in SL_n(F_p),
-    read off their characteristic polynomials."""
-    n, p = space.n, space.p
-    coeffs = char_poly_batch(shifted, p)
-    codes = np.zeros(coeffs.shape[:-1], dtype)
-    for j in range(n - 1, 0, -1):  # a_{n-1} first
-        codes = codes * p + coeffs[..., j].astype(dtype)
-    return -coeffs[..., n - 1] % p, codes
+class _Radicals:
+    """Class ids of a pool's codes, each radical found once: 0 for a
+    squarefree chi, else the row of rad(chi), padded, in `coeffs`."""
+
+    def __init__(self, space: SpecialLinear):
+        self.space, self.ids = space, {}
+        self.coeffs = np.zeros((1, space.n), dtype=np.int64)
+        size = space.p ** (space.n - 1)
+        self.table = np.full(size, -1) if size <= CLASS_TABLE else None
+
+    def _id(self, code) -> int:
+        if code not in self.ids:
+            n, p = self.space.n, self.space.p
+            chi = [(-1) ** n % p] + [code // p ** (j - 1) % p for j in range(1, n)] + [1]
+            rad = polys.radical(chi, self.space.field)
+            self.ids[code] = 0 if rad is None else len(self.coeffs)
+            if rad is not None:
+                self.coeffs = np.vstack([self.coeffs, rad + [0] * (n - len(rad))])
+        return self.ids[code]
+
+    def lookup(self, codes: np.ndarray) -> np.ndarray:
+        """The class id of every code."""
+        if self.table is None:
+            return np.array([self._id(c) for c in codes.ravel().tolist()]).reshape(codes.shape)
+        ids = self.table[codes]
+        unknown = set(codes[ids == -1].tolist())
+        for code in unknown:
+            self.table[code] = self._id(code)
+        return self.table[codes] if unknown else ids
 
 
-@lru_cache(maxsize=1 << 16)
-def _radical(n: int, field: PrimeField, code: int):
-    """polys.radical of the class's charpoly chi, padded to length n:
-    None when the class is regular semisimple.  Cached for the whole
-    run: callers with many witnesses over one pool meet the same few
-    classes again and again."""
-    p = field.p
-    chi = [(-1) ** n % p] + [code // p ** (j - 1) % p for j in range(1, n)] + [1]
-    rad = polys.radical(chi, field)
-    return None if rad is None else tuple(rad) + (0,) * (n - len(rad))
+def shift_tables(pool: ElementSet, witnesses, tick=lambda done: None):
+    """Yield the shift table of each t in witnesses.
 
-
-def _semisimple(space: SpecialLinear, shifted: np.ndarray,
-                codes: np.ndarray) -> np.ndarray:
-    """Semisimplicity of each shifted matrix, decided per class first.
-
-    g is semisimple iff rad(chi)(g) = 0, the rule of
-    SpecialLinear.classify_semisimple; a squarefree chi needs no test.
+    The pool is decoded once into its compounds L_j(g), j < n.  As
+    e_j(t^k g) = tr(L_j(t^k) L_j(g)), a block's traces and codes take
+    one int64 matmul per j, exact: its sums stay below
+    C(n, j)^2 (p - 1)^2 < 2^63 for n <= 17.
+    Row k = 0 is tabled once.  Only shifts with a non-squarefree chi
+    are formed, to test rad(chi)(t^k g) = 0 (classify_semisimple's
+    rule).  tick(done) follows every block: 0 while decoding, then the
+    members tabled so far.
     """
-    n, p = space.n, space.p
-    flat = codes.ravel().tolist()
-    radicals = {code: _radical(n, space.field, code) for code in set(flat)}
-    need = [j for j, code in enumerate(flat) if radicals[code] is not None]
-    ok = np.ones(len(flat), dtype=bool)
-    if need:
-        coeffs = np.array([radicals[flat[j]] for j in need], dtype=np.int64)
-        mats = shifted.reshape(-1, n, n)[need]
-        diag = np.arange(n)
-        value = np.zeros_like(mats)
-        for d in range(n - 1, -1, -1):  # Horner: value = rad(mats)
-            value = np.matmul(value, mats) % p
-            value[:, diag, diag] += coeffs[:, d, None]
-        ok[need] = ~(value % p).any(axis=(1, 2))
-    return ok.reshape(codes.shape)
-
-
-def shift_table(t: Mat, pool: ElementSet, tick=lambda done: None) -> ShiftTable:
-    """Trace, invariant and semisimplicity of t^k g for k = 0..n and
-    every g in the pool, in chunks of SHIFT_CHUNK pool members.
-    tick(done) follows every chunk, with the members tabled so far."""
     space = pool.space
     n, p = space.n, space.p
     members = list(pool.members)
     m = len(members)
-    powers = np.array(space.power_list(t, n), dtype=np.int64).reshape(n + 1, 1, n, n)
-    # codes below p^(n-1); past int64 they stay Python ints
-    dtype = np.int64 if p ** (n - 1) <= np.iinfo(np.int64).max else object
-    traces = np.empty((n + 1, m), dtype=np.int64)
-    codes = np.empty((n + 1, m), dtype=dtype)
-    semisimple = np.empty((n + 1, m), dtype=bool)
-    for lo in range(0, m, SHIFT_CHUNK):
-        part = slice(lo, lo + SHIFT_CHUNK)
-        chunk = np.array(members[part], dtype=np.int64).reshape(1, -1, n, n)
-        shifted = np.matmul(powers, chunk) % p
-        traces[:, part], codes[:, part] = _traces_and_codes(space, shifted, dtype)
-        semisimple[:, part] = _semisimple(space, shifted, codes[:, part])
-        tick(min(m, lo + SHIFT_CHUNK))
-    return ShiftTable(members, traces, codes, semisimple)
+    ends = np.cumsum([0] + [comb(n, j) ** 2 for j in range(1, n)]).tolist()
+    entry = np.min_scalar_type(p - 1)
+    compounds = np.empty((ends[-1], m), dtype=entry)
+    for lo in range(0, m, SHIFT_BLOCK):
+        mats = np.array(members[lo : lo + SHIFT_BLOCK], dtype=np.int64).reshape(-1, n, n)
+        compounds[:, lo : lo + len(mats)] = np.concatenate(
+            [compound_batch(mats, j, p).reshape(len(mats), -1) for j in range(1, n)], axis=1).T
+        tick(0)
+    # codes < p^(n-1): Python ints past int64
+    work = np.int64 if p ** (n - 1) <= np.iinfo(np.int64).max else object
+    dtype = np.min_scalar_type(p ** (n - 1) - 1) if work is np.int64 else object
+    radicals = _Radicals(space)
+
+    def tabulate(hs, traces, codes, semisimple):
+        """Fill rows k of the (K, m) tables with h_k g, hs (K, n, n)."""
+        # row k gives a_{n-j}(h_k g) = (-1)^j e_j, as tr(A B) = sum(A^T * B)
+        forms = [(-1) ** j * compound_batch(hs, j, p).transpose(0, 2, 1).reshape(len(hs), -1)
+                 for j in range(1, n)]
+        for lo in range(0, m, SHIFT_BLOCK):
+            part = slice(lo, lo + SHIFT_BLOCK)
+            block = compounds[:, part].astype(np.int64)
+            for j in range(1, n):  # a_{n-1} first
+                a = np.matmul(forms[j - 1], block[ends[j - 1] : ends[j]])
+                a %= p
+                if j == 1:  # tr = e_1 = -a_{n-1}
+                    traces[:, part] = -a % p
+                code = a.astype(work, copy=False) if j == 1 else code * p + a
+            codes[:, part] = code
+            ids = radicals.lookup(code)
+            plain = ids == 0  # squarefree chi: semisimple
+            semisimple[:, part] = plain
+            k, col = np.nonzero(~plain)
+            if len(k):
+                shifted = np.matmul(hs[k], block[: n * n, col].T.reshape(-1, n, n))
+                shifted %= p
+                # rad(shifted) = sum_d c_d shifted^d
+                coeffs = radicals.coeffs[ids[k, col]]
+                value, power = coeffs[:, 1, None, None] * shifted, shifted
+                for d in range(2, n):
+                    power = np.matmul(power, shifted)
+                    power %= p
+                    value += coeffs[:, d, None, None] * power
+                value.reshape(len(value), -1)[:, :: n + 1] += coeffs[:, :1]
+                value %= p
+                semisimple[:, part][k, col] = ~value.any(axis=(1, 2))
+            tick(min(m, lo + SHIFT_BLOCK))
+
+    own = None  # row k = 0, the members: the same in every table
+    for t in witnesses:
+        powers = np.array(space.power_list(t, n), dtype=np.int64).reshape(n + 1, n, n)
+        rows = (np.empty((n + 1, m), dtype=entry), np.empty((n + 1, m), dtype=dtype),
+                np.empty((n + 1, m), dtype=bool))
+        if own is None:
+            tabulate(powers, *rows)
+            own = [row[0].copy() for row in rows]
+        else:
+            for row, first in zip(rows, own):
+                row[0] = first
+            tabulate(powers[1:], *(row[1:] for row in rows))
+        yield ShiftTable(members, *rows)
 
 
-def _wealths(table: ShiftTable, i: int) -> Counter:
-    """Trace value r -> number of distinct invariants among semisimple
-    shifts t^i g with tr(t^i g) = r."""
+def shift_table(t: Mat, pool: ElementSet, tick=lambda done: None) -> ShiftTable:
+    """The shift table of one witness t: shift_tables(pool, [t], tick)."""
+    return next(shift_tables(pool, [t], tick))
+
+
+def _wealths(table: ShiftTable, i: int, p: int) -> np.ndarray:
+    """Per trace value r < p: the number of distinct invariants among
+    semisimple shifts t^i g with tr(t^i g) = r (a code fixes its trace)."""
     ss = table.semisimple[i]
-    kinds = set(zip(table.traces[i, ss].tolist(), table.codes[i, ss].tolist()))
-    return Counter(r for r, _ in kinds)
+    codes, traces = table.codes[i, ss], table.traces[i, ss]
+    size = p ** (len(table.codes) - 2)  # p^(n-1): n + 1 rows
+    if size <= CLASS_TABLE:
+        trace_of = np.full(size, p)  # p: code not met
+        trace_of[codes] = traces
+        return np.bincount(trace_of, minlength=p + 1)[:p]
+    trace_of = dict(zip(codes.tolist(), traces.tolist()))
+    return np.bincount(list(trace_of.values()), minlength=p)
 
 
 def wealth(t: Mat, i: int, r: int, pool: ElementSet) -> int:
@@ -184,21 +234,27 @@ def wealth(t: Mat, i: int, r: int, pool: ElementSet) -> int:
     definition, for one (i, r); dyadic_bins reads every count off one
     shift table instead."""
     space = pool.space
-    n = space.n
+    n, p = space.n, space.p
     if not 0 <= i <= n:
         raise ValueError(f"shift {i} out of range 0..{n}")
     space.require_regular(t, "wealth")
-    return _wealths(shift_table(t, pool), i)[r % space.p]
+    return int(_wealths(shift_table(t, pool), i, p)[r % p])
 
 
 @dataclass
 class WealthBin:
     """One dyadic cell: pool elements whose wealth vector satisfies
-    2^(j_i) <= wealth_i < 2^(j_i + 1) in every coordinate."""
+    2^(j_i) <= wealth_i < 2^(j_i + 1) in every coordinate, and their
+    shift-table columns when dyadic_bins made it."""
 
     t: Mat
     jvec: tuple
     members: ElementSet
+    columns: np.ndarray | None = None
+
+
+def _members_at(members: list, columns: np.ndarray) -> frozenset:
+    return frozenset(map(members.__getitem__, columns.tolist()))
 
 
 def dyadic_bins(t: Mat, pool: ElementSet, table: ShiftTable | None = None,
@@ -208,30 +264,47 @@ def dyadic_bins(t: Mat, pool: ElementSet, table: ShiftTable | None = None,
     Eligible means g, tg, ..., t^n g all semisimple.  Every eligible g
     contributes its own invariant to each wealth count, so all wealths
     are >= 1 and the bin exponents are the bit lengths minus one.
-    Returns bins sorted by jvec; empty bins are never materialized.
+    Returns bins sorted by jvec, their members decoded on first use.
     `table` is `shift_table(t, pool)`, when the caller already has it.
     tick(done) follows the wealth pass of every shift, with the shifts
     passed so far, and the binning, with all n + 1.
     """
     space = pool.space
+    n = space.n
     space.require_regular(t, "dyadic bins")
     if table is None:
         table = shift_table(t, pool)
-    eligible = table.semisimple.all(axis=0)
-    columns = []
-    for i in range(space.n + 1):
-        exponent = {r: w.bit_length() - 1 for r, w in _wealths(table, i).items()}
-        columns.append([exponent[r] for r in table.traces[i, eligible].tolist()])
+    eligible = np.flatnonzero(table.semisimple.all(axis=0))
+    # jvec packed 6 bits a shift, first highest: exponents are below 64
+    packed = np.zeros(len(eligible), dtype=np.int64)
+    for i in range(n + 1):
+        wealths = _wealths(table, i, space.p)
+        exponents = np.zeros_like(wealths)
+        held = np.flatnonzero(wealths)
+        exponents[held] = [w.bit_length() - 1 for w in wealths[held].tolist()]
+        packed = packed * 64 + exponents[table.traces[i, eligible]]
         tick(i + 1)
-    members = [g for g, ok in zip(table.members, eligible.tolist()) if ok]
-    bins: dict = {}
-    for g, jvec in zip(members, zip(*columns)):
-        bins.setdefault(jvec, []).append(g)
-    tick(space.n + 1)
+    tick(n + 1)
     return [
-        WealthBin(t=t, jvec=jvec, members=ElementSet(space, frozenset(bins[jvec])))
-        for jvec in sorted(bins)
+        WealthBin(t=t, jvec=tuple(key >> 6 * (n - i) & 63 for i in range(n + 1)),
+                  members=ElementSet(space, partial(_members_at, table.members, columns),
+                                     len(columns)),
+                  columns=columns)
+        for key, columns in ((key, eligible[packed == key])
+                             for key in sorted(set(packed.tolist())))
     ]
+
+
+def _distinct_columns(values: np.ndarray) -> int:
+    """The number of distinct columns, each packed into one int."""
+    if not values.size:
+        return 0
+    base = int(values.max()) + 1
+    dtype = np.int64 if base ** len(values) <= np.iinfo(np.int64).max else object
+    key = 0
+    for row in values:
+        key = key * base + row.astype(dtype)
+    return len(set(key.tolist()))
 
 
 def distinct_tuple_counts(table: ShiftTable) -> tuple[list[int], list[int]]:
@@ -239,15 +312,10 @@ def distinct_tuple_counts(table: ShiftTable) -> tuple[list[int], list[int]]:
     `trace_tuple(g, t, i)` takes over the pool, and how many
     `class_tuple(g, t, i)` takes over its eligible members."""
     eligible = table.semisimple.all(axis=0)
-    traces = table.traces.tolist()
-    codes = table.codes[:, eligible].tolist()
-
-    def distinct(rows, i):
-        return len(set(zip(*(row for k, row in enumerate(rows) if k != i))))
-
-    shifts = range(len(traces))
-    return ([distinct(traces, i) for i in shifts],
-            [distinct(codes, i) for i in shifts])
+    shifts = range(len(table.traces))
+    kept = [[k for k in shifts if k != i] for i in shifts]
+    return ([_distinct_columns(table.traces[rows]) for rows in kept],
+            [_distinct_columns(table.codes[rows][:, eligible]) for rows in kept])
 
 
 def popular_tuple(bins: list[WealthBin]) -> WealthBin:

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from slgrowth import cli
+from slgrowth import SpecialLinear, cli, standard_generators, word_ball
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -493,3 +493,24 @@ def test_csv_cells_are_spelled_as_json_values(capsys):
     )
     assert outputs == {}
     assert cli._cell("0.5") == "0.5" and cli._cell(0.5) == repr(0.5)
+
+
+def witnesses_by_element(space, source):
+    """_witnesses_for's rule, one split_eigenvalues call per member."""
+    by_kappa = {}
+    for g in sorted(source.members):
+        if space.split_eigenvalues(g) is not None:
+            by_kappa.setdefault(space.char_poly(g), g)
+    return [by_kappa[k] for k in sorted(by_kappa)]
+
+
+@pytest.mark.parametrize("n, p, radius", [(2, 7, 4), (2, 31, 4), (3, 7, 3), (2, 65521, 3)])
+def test_witnesses_equal_the_per_element_filter(n, p, radius):
+    """The witness ball is classified in batches by the root tables of
+    split_regulars; the witnesses are those of a split_eigenvalues
+    call per member."""
+    space = SpecialLinear(n, p)
+    ball = word_ball(standard_generators(space), radius)
+    want = witnesses_by_element(space, ball)
+    assert cli._witnesses_for(space, ball) == want
+    assert want

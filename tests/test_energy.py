@@ -359,27 +359,27 @@ class StoppedClock:
 
 def test_vital_deadline_trips_after_the_first_shift_table_chunk(monkeypatch):
     """A deadline that passes as the first witness's shift table starts
-    trips after that table's first chunk, not after the witness ends."""
+    trips after that table's first block, not after the witness ends."""
     space, A, D = build_sl2_f11_instance()
-    assert len(word_ball(A, 2)) > 4  # the pool: several chunks of 4
+    assert len(word_ball(A, 2)) > 4  # the pool: several blocks of 4
     clock = StoppedClock()
-    chunks = []
-    traces_and_codes = tracelab._traces_and_codes
+    blocks = []
+    lookup = tracelab._Radicals.lookup
 
     def spy(*args):
-        chunks.append(1)
+        blocks.append(1)
         clock.now = 10.0  # past the 1 s deadline
-        return traces_and_codes(*args)
+        return lookup(*args)
 
     monkeypatch.setattr(growth, "time", clock)
-    monkeypatch.setattr(tracelab, "SHIFT_CHUNK", 4)
-    monkeypatch.setattr(tracelab, "_traces_and_codes", spy)
+    monkeypatch.setattr(tracelab, "SHIFT_BLOCK", 4)
+    monkeypatch.setattr(tracelab._Radicals, "lookup", spy)
     with pytest.raises(BudgetExceeded) as info:
         assemble_vital_instance(A, D, 2, Budget(max_seconds=1.0))
     assert str(info.value) == "vital witnesses exceeded 1.0 seconds"
     assert info.value.stage == "vital witnesses"
     assert info.value.partial_count == 0  # witnesses done
-    assert len(chunks) == 1
+    assert len(blocks) == 1
 
 
 def test_vital_deadline_trips_inside_the_first_dyadic_bins(monkeypatch):

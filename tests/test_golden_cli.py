@@ -8,7 +8,8 @@ n = 3 trace-lab and n = 4 lemma-check runs, and the p = 257 cases for
 two-byte entries).  The energy cases with p = 1009 (every set drawn by
 sample's set branch) and with --size above p = 7 (ten sets of k = p
 elements) were frozen before the sets were read from bulk generator
-words.  Any change to how balls, closures, eliminations or
+words.  The n = 3 vital cases were frozen before the shift table
+moved to compound-matrix linear forms.  Any change to how balls, closures, eliminations or
 reports are computed that alters an output byte fails here.  Refreeze only for a change meant to alter the
 outputs, and say so where the change is logged.
 """
@@ -80,6 +81,11 @@ CASES = [
     ("energy-whole-field",
      ["energy", "--p", "7", "--size", "9", "--trials", "25", "--seed", "5"],
      ".csv"),
+    ("vital-n3",
+     ["vital", "--n", "3", "--p", "5", "--radius", "3", "--k", "2"], ".csv"),
+    ("vital-n3-json",
+     ["vital", "--n", "3", "--p", "5", "--radius", "3", "--k", "2",
+      "--format", "json"], ".json"),
 ]
 
 # case name -> {output file relative to --out: sha256}
@@ -165,6 +171,14 @@ GOLDEN = {
     "energy-whole-field": {
         "out.csv":
             "7e959eb6d41e09bbdbfd703af6ab608e01df564aa6724c2278bfcce18fee89d9",
+    },
+    "vital-n3": {
+        "out.csv":
+            "0fd07d8aaaacddb9ea7afc191137a293451f4570039802cf89a99b85d84da2b6",
+    },
+    "vital-n3-json": {
+        "out.json":
+            "f8779c6d51002a2f451d32d5b4e6e855e9c64b3066bdc9c05195233f295e7633",
     },
 }
 

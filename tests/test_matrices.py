@@ -421,6 +421,28 @@ def test_split_eigenvalues_sampled_against_oracle(n, p, seed):
     assert split > 0
 
 
+@pytest.mark.parametrize("size", [0, 1, SPLIT_BLOCK - 1, SPLIT_BLOCK, SPLIT_BLOCK + 1])
+def test_split_eigenvalues_batch_block_edges(size):
+    """The batch classifies SPLIT_BLOCK members per charpoly batch and
+    equals split_eigenvalues member by member across block edges."""
+    space = sl(3, 7)
+    rng = Random(size)
+    members = [space.random_element(rng) for _ in range(size)]
+    assert space.split_eigenvalues_batch(members) == [space.split_eigenvalues(g) for g in members]
+
+
+def test_split_eigenvalues_batch_at_wide_p():
+    """At p = 65521 a root table slice holds SPLIT_SCAN_ENTRIES // p = 16
+    rows, so one block spans several slices."""
+    space = sl(2, 65521)
+    rng = Random(65521)
+    members = [space.random_element(rng) for _ in range(40)]
+    members += [space.from_rows([[a, 0], [0, pow(a, -1, 65521)]]) for a in (2, 3, 65520)]
+    got = space.split_eigenvalues_batch(members)
+    assert got == [space.split_eigenvalues(g) for g in members]
+    assert got[-3:] == [[2, 32761], [3, 43681], None]  # -1 repeats: not regular
+
+
 def test_random_regular_semisimple():
     rng = Random(10)
     for n, p in ((2, 5), (3, 7), (4, 11)):

@@ -1,17 +1,22 @@
 """The batched shift table against the per-element kernels and oracles.
 
-Each entry of `shift_table(t, pool)` (the trace, the packed invariant
-and the semisimple bit of t^k g) is compared with `SpecialLinear.trace`,
-`char_poly` and `classify_semisimple`, and at small p with
-`classify_oracle` in tests/oracles.py, which decides by rational roots
-for n <= 3 and by the brute-force minimal polynomial for n = 4: the
-table and `classify_semisimple` share the rad(chi)(g) = 0 rule.  Bins
-and tuple counts read off the table are compared with the per-element
-loop `dyadic_bins_oracle` and with `trace_tuple`/`class_tuple`.
+The table reads e_j(t^k g) off the compound matrices as
+tr(L_j(t^k) L_j(g)) (Cauchy-Binet); `compound_batch` is checked against
+`char_poly_full` first.  Each entry of `shift_table(t, pool)` (the
+trace, the packed invariant and the semisimple bit of t^k g) is
+compared with `SpecialLinear.trace`, `char_poly` and
+`classify_semisimple`, and at small p with `classify_oracle` in
+tests/oracles.py, which decides by rational roots for n <= 3 and by the
+brute-force minimal polynomial for n = 4: the table and
+`classify_semisimple` share the rad(chi)(g) = 0 rule.  Bins and tuple
+counts read off the table are compared with the per-element loop
+`dyadic_bins_oracle` and with `trace_tuple`/`class_tuple`.
 """
 
+from itertools import product
 from random import Random
 
+import numpy as np
 import pytest
 
 from slgrowth import (
@@ -23,9 +28,12 @@ from slgrowth import (
     dyadic_bins,
     full_group,
     shift_table,
+    shift_tables,
     trace_tuple,
 )
-from slgrowth.tracelab import SHIFT_CHUNK
+from slgrowth import tracelab
+from slgrowth.matrices import compound_batch
+from slgrowth.tracelab import SHIFT_BLOCK
 
 from oracles import classify_oracle, diagonal_sum, dyadic_bins_oracle, regular_semisimple
 
@@ -67,6 +75,54 @@ def conjugates(space, mats, rng, count=3):
             h = space.random_element(rng)
             out.append(space.mul(space.mul(h, g), space.inv(h)))
     return out
+
+
+def stack(space, mats):
+    n = space.n
+    return np.array(mats, dtype=np.int64).reshape(-1, n, n)
+
+
+def assert_cauchy_binet(space, hs, gs):
+    """e_j(h g) = tr(L_j(h) L_j(g)) for every pair and j = 1..n, with
+    e_j read off char_poly_full(h g) as (-1)^j a_{n-j}."""
+    n, p = space.n, space.p
+    compounds = [(compound_batch(stack(space, hs), j, p),
+                  compound_batch(stack(space, gs), j, p)) for j in range(1, n + 1)]
+    for j, (lh, lg) in enumerate(compounds, start=1):
+        got = np.einsum("hab,gba->hg", lh, lg) % p
+        for a, h in enumerate(hs):
+            for b, g in enumerate(gs):
+                full = space.char_poly_full(space.mul(h, g))
+                assert got[a, b] == (-1) ** j * full[n - j] % p, (h, g, j)
+
+
+def test_cauchy_binet_exhaustive_sl2_f5():
+    space = SpecialLinear(2, 5)
+    members = full_group(space).sorted_members()
+    assert_cauchy_binet(space, members, members)
+
+
+@pytest.mark.parametrize("n,p", [(3, 7), (4, 5), (5, 7)])
+def test_cauchy_binet_sampled(n, p):
+    space = SpecialLinear(n, p)
+    rng = Random(100 * n + p)
+    hs = [space.random_element(rng) for _ in range(12)]
+    gs = [space.random_element(rng) for _ in range(12)] + [space.identity()]
+    assert_cauchy_binet(space, hs, gs)
+
+
+def test_compound_of_a_stack_is_minors():
+    """Entry [I, J] of the j-th compound is the minor det g[I, J]."""
+    space = SpecialLinear(4, 7)
+    rng = Random(47)
+    mats = [space.random_element(rng) for _ in range(5)]
+    got = compound_batch(stack(space, mats), 2, 7)
+    pairs = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
+    for g, compound in zip(mats, got):
+        rows = space.to_rows(g)
+        for (a, (i, k)), (b, (j, l)) in product(enumerate(pairs), repeat=2):
+            minor = rows[i][j] * rows[k][l] - rows[i][l] * rows[k][j]
+            assert compound[a, b] == minor % 7
 
 
 @pytest.mark.parametrize("p", [5, 7])
@@ -122,6 +178,53 @@ def test_table_sampled_sl4_generic_newton_path():
     assert_table_matches(space, t, members, True)
 
 
+def non_regular_classes(space):
+    """Representatives of classes with a repeated eigenvalue: 1, the
+    regular unipotent, and diag(a, ..., a, b) with det 1, plain and with
+    one Jordan block of size 2 on a."""
+    n, p = space.n, space.p
+    out = [space.identity(),
+           space.from_rows([[1 if j in (i, i + 1) else 0 for j in range(n)] for i in range(n)])]
+    for a in (2, 3):
+        b = pow(a, (1 - n) % (p - 1), p)  # a^(1-n): det = a^(n-1) b = 1
+        diag = [[a if i == j else 0 for j in range(n)] for i in range(n)]
+        diag[n - 1][n - 1] = b
+        out.append(space.from_rows(diag))
+        diag[0][1] = 1
+        out.append(space.from_rows(diag))
+    return out
+
+
+@pytest.mark.parametrize("n,p,size,oracle", [(3, 7, 800, True), (4, 5, 200, True),
+                                             (4, 7, 200, False)])
+def test_table_seeded_pools_with_non_regular_classes(n, p, size, oracle):
+    space = SpecialLinear(n, p)
+    rng = Random(10 * n + p)
+    t = regular_semisimple(space, rng)
+    members = conjugates(space, non_regular_classes(space), rng)
+    members += [space.random_element(rng) for _ in range(size)]
+    assert_table_matches(space, t, members, oracle)
+    table = shift_table(t, ElementSet(space, frozenset(members)))
+    assert table.semisimple[0].any() and not table.semisimple[0].all()
+
+
+def test_tables_of_several_witnesses_equal_one_at_a_time():
+    """shift_tables tables row k = 0 once and copies it; every table
+    still equals the one shift_table builds for its witness alone."""
+    space = SpecialLinear(3, 7)
+    rng = Random(37)
+    witnesses = [regular_semisimple(space, rng) for _ in range(3)]
+    members = conjugates(space, non_regular_classes(space), rng)
+    members += [space.random_element(rng) for _ in range(300)]
+    pool = ElementSet(space, frozenset(members))
+    for t, table in zip(witnesses, shift_tables(pool, witnesses)):
+        alone = shift_table(t, pool)
+        assert table.members == alone.members
+        for got, want in ((table.traces, alone.traces), (table.codes, alone.codes),
+                          (table.semisimple, alone.semisimple)):
+            assert got.dtype == want.dtype and (got == want).all()
+
+
 def test_table_wide_codes_stay_exact():
     # p^(n-1) passes the int64 range at n = 5, p = 65521
     space = SpecialLinear(5, 65521)
@@ -137,7 +240,7 @@ def test_table_wide_codes_stay_exact():
 
 
 @pytest.mark.parametrize(
-    "size", [0, 1, SHIFT_CHUNK - 1, SHIFT_CHUNK, SHIFT_CHUNK + 1])
+    "size", [0, 1, SHIFT_BLOCK - 1, SHIFT_BLOCK, SHIFT_BLOCK + 1])
 def test_table_chunk_edges(size):
     space = SpecialLinear(3, 5)
     rng = Random(size)
@@ -173,6 +276,28 @@ def test_bins_and_counts_match_oracle_sl2_full_group():
     space = SpecialLinear(2, 7)
     t = space.from_rows([[3, 0], [0, 5]])
     assert check_bins_and_counts(space, t, full_group(space).members)
+
+
+def test_bins_and_counts_match_oracle_sl3_f7_with_non_regular_classes():
+    space = SpecialLinear(3, 7)
+    rng = Random(73)
+    t = regular_semisimple(space, rng)
+    members = conjugates(space, non_regular_classes(space), rng, count=5)
+    members += [space.random_element(rng) for _ in range(400)]
+    assert check_bins_and_counts(space, t, members)
+
+
+def test_class_dict_path_matches_oracle(monkeypatch):
+    """Past CLASS_TABLE codes the class ids and the wealths go through
+    dicts, not arrays; forced at p = 5, both still match the oracles."""
+    monkeypatch.setattr(tracelab, "CLASS_TABLE", 1)
+    space = SpecialLinear(3, 5)
+    rng = Random(35)
+    t = regular_semisimple(space, rng)
+    members = conjugates(space, non_regular_classes(space), rng)
+    members += [space.random_element(rng) for _ in range(300)]
+    assert_table_matches(space, t, members, True)
+    assert check_bins_and_counts(space, t, members)
 
 
 def test_bins_and_counts_match_oracle_sl3():
