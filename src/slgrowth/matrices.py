@@ -397,7 +397,9 @@ class SpecialLinear:
         n, out = self.n, []
         for lo in range(0, len(members), SPLIT_BLOCK):
             mats = np.array(members[lo : lo + SPLIT_BLOCK], dtype=np.int64).reshape(-1, n, n)
-            out += self._split_rows(char_poly_batch(mats, self.p))
+            split, found = self._split_rows(char_poly_batch(mats, self.p))
+            found = iter(found)
+            out += [next(found) if ok else None for ok in split]
         return out
 
     def split_regulars(self, rng):
@@ -410,38 +412,40 @@ class SpecialLinear:
         """
         misses = 0
         for mats, coeffs in self._element_blocks(rng):
-            flat = mats.reshape(len(mats), -1)
-            for g, eigenvalues in zip(flat, self._split_rows(coeffs)):
-                if eigenvalues is not None:
+            split, found = self._split_rows(coeffs)
+            found = zip(map(tuple, mats.reshape(len(mats), -1)[split].tolist()), found)
+            for ok in split:
+                if ok:
                     misses = 0
-                    yield tuple(g.tolist()), eigenvalues
+                    yield next(found)
                     continue
                 misses += 1
                 if misses == SPLIT_MAX_TRIES:
                     # SL_2(F_3), for one, has no split regular element
                     raise ValueError("no split regular element found; field too small?")
-            del mats, coeffs, flat
+            del mats, coeffs, found
 
-    def _split_rows(self, coeffs: np.ndarray) -> list[Optional[list[int]]]:
-        """The n roots, ascending, of each charpoly row of coeffs that
-        has n in F_p, else None: one matmul against x^k mod p per slice
-        of min(SPLIT_BLOCK, SPLIT_SCAN_ENTRIES // p) rows."""
+    def _split_rows(self, coeffs: np.ndarray) -> tuple[list[bool], list[list[int]]]:
+        """Whether each charpoly row of coeffs has n roots in F_p, and the
+        roots, ascending, of each row that has: one matmul against
+        x^k mod p per slice of min(SPLIT_BLOCK, SPLIT_SCAN_ENTRIES // p)
+        rows."""
         n, p = self.n, self.p
         rows = min(SPLIT_BLOCK, SPLIT_SCAN_ENTRIES // p)
         powers = np.ones((n + 1, p), dtype=np.int64)
         for k in range(1, n + 1):
             powers[k] = powers[k - 1] * np.arange(p) % p
-        out: list = []
+        split: list = []
+        found: list = []
         for lo in range(0, len(coeffs), rows):
             values = np.matmul(coeffs[lo : lo + rows], powers)
             values %= p  # in place: the slice's largest array
             row, root = np.nonzero(values == 0)
+            ok = np.bincount(row, minlength=len(values)) == n
             del values
-            roots, at = root.tolist(), 0
-            for count in np.bincount(row, minlength=min(rows, len(coeffs) - lo)).tolist():
-                out.append(roots[at : at + count] if count == n else None)
-                at += count
-        return out
+            split += ok.tolist()
+            found += root[ok[row]].reshape(-1, n).tolist()
+        return split, found
 
     def _element_blocks(self, rng):
         """Endless stream of (mats, charpolys), random_element's draws

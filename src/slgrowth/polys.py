@@ -131,13 +131,8 @@ def radical(f: list, field: PrimeField) -> list | None:
 
 
 def rational_roots(f: list, field: PrimeField) -> list[int]:
-    """All roots in Z/pZ in ascending order, by direct scan (desk-scale p).
-
-    lemma-check's lindep witnesses do not come through here: their
-    candidates, blocks of SpecialLinear's seeded element stream, are
-    classified in numpy by `SpecialLinear.split_regulars`, one table of
-    values at every residue per slice of a block.
-    """
+    """All roots in Z/pZ in ascending order, by direct scan: the
+    per-element path; blocks go through SpecialLinear._split_rows."""
     return [x for x in range(field.p) if evaluate(f, x, field.p) == 0]
 
 
