@@ -183,11 +183,7 @@ def assemble_vital_instance(A: ElementSet, D: ElementSet, pool_radius: int,
         # the popular bin's shifted traces, one column per member
         shifted = table.traces[:, columns]
         x_values.update(np.flatnonzero(np.bincount(shifted.ravel(), minlength=field.p)).tolist())
-        # its distinct tuples: the last column of each run, in lexicographic order
-        heads = shifted[:n, np.lexsort(shifted[:n])]
-        last = (heads[:, :-1] != heads[:, 1:]).any(axis=0)
-        heads = np.concatenate([heads[:, :-1][:, last], heads[:, -1:]], axis=1)
-        assignments.setdefault(y, set()).update(map(tuple, heads.T.tolist()))
+        assignments.setdefault(y, set()).update(zip(*shifted[:n].tolist()))
 
     X = ScalarSet(field, frozenset(x_values))
     Y = VectorSet(field, frozenset(assignments))

@@ -84,14 +84,27 @@ def char_poly_batch(mats: np.ndarray, p: int) -> np.ndarray:
     return coeffs
 
 
-def compound_batch(mats: np.ndarray, j: int, p: int) -> np.ndarray:
-    """j-th compounds of an int64 stack (..., n, n) with entries in
-    [0, p): entry [I, J] is the minor det g[I, J] mod p, the j-sets in
-    combinations order, each (-1)^j chi(0) of its submatrix.  By
-    Cauchy-Binet the compound is multiplicative; its trace is e_j."""
-    sets = np.array(list(combinations(range(mats.shape[-1]), j)))
-    minors = mats[..., sets[:, None, :, None], sets[None, :, None, :]]
-    return char_poly_batch(minors, p)[..., 0] * (-1) ** j % p
+def compound_batches(mats: np.ndarray, p: int) -> list:
+    """The compounds L_1(g), ..., L_n(g) of every g of an int64 stack
+    (..., n, n) with entries in [0, p).  Entry [I, J] of L_j(g) is the
+    minor det g[I, J] mod p, the j-sets in combinations order, expanded
+    along the first row of I over the (j-1)-minors.  By Cauchy-Binet
+    L_j is multiplicative, and its trace is e_j."""
+    n = mats.shape[-1]
+    out = [mats]
+    index = {(i,): i for i in range(n)}  # (j-1)-set -> its place
+    for j in range(2, n + 1):
+        sets = list(combinations(range(n), j))
+        first = np.array([s[0] for s in sets])[:, None]
+        rest = np.array([index[s[1:]] for s in sets])[:, None]
+        total = 0
+        for k in range(j):  # (-1)^k g[i_0, J_k] det g[I - i_0, J - J_k]
+            term = (mats[..., first, [s[k] for s in sets]]
+                    * out[-1][..., rest, [index[s[:k] + s[k + 1 :]] for s in sets]])
+            total = total - term if k % 2 else total + term
+        out.append(total % p)
+        index = {s: a for a, s in enumerate(sets)}
+    return out
 
 
 def inv_batch(mats: np.ndarray, coeffs: np.ndarray, p: int) -> np.ndarray:

@@ -32,7 +32,7 @@ from . import polys
 from .errors import FiberBoundViolation, InvalidWitness, NoBins, NotInGroup
 from .field import PrimeField
 from .growth import ElementSet
-from .matrices import Mat, SpecialLinear, compound_batch
+from .matrices import Mat, SpecialLinear, compound_batches
 from .vandermonde import omit_one_dets
 
 
@@ -78,10 +78,10 @@ def class_tuple(space: SpecialLinear, g: Mat, t: Mat, i: int) -> ClassTuple:
     return ClassTuple(omitted_index=i, values=values)
 
 
-# pool members per block of a shift table, which bounds its temporaries
+# pool members per block of a shift table: at most SHIFT_BLOCK, and at
+# most SHIFT_ENTRIES compound entries, which bounds its temporaries
 SHIFT_BLOCK = 128
-# most codes whose class ids an array holds (128 KB); past it, a dict
-CLASS_TABLE = 1 << 14
+SHIFT_ENTRIES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -104,69 +104,74 @@ class _Radicals:
     """Class ids of a pool's codes, each radical found once: 0 for a
     squarefree chi, else the row of rad(chi), padded, in `coeffs`."""
 
-    def __init__(self, space: SpecialLinear):
-        self.space, self.ids = space, {}
+    def __init__(self, space: SpecialLinear, dtype):
+        self.space = space
+        # the codes met so far, sorted, and p^(n-1), which no code reaches
+        self.known = np.array([space.p ** (space.n - 1)], dtype=dtype)
+        self.ids = np.zeros(1, dtype=np.int64)
         self.coeffs = np.zeros((1, space.n), dtype=np.int64)
-        size = space.p ** (space.n - 1)
-        self.table = np.full(size, -1) if size <= CLASS_TABLE else None
 
     def _id(self, code) -> int:
-        if code not in self.ids:
-            n, p = self.space.n, self.space.p
-            chi = [(-1) ** n % p] + [code // p ** (j - 1) % p for j in range(1, n)] + [1]
-            rad = polys.radical(chi, self.space.field)
-            self.ids[code] = 0 if rad is None else len(self.coeffs)
-            if rad is not None:
-                self.coeffs = np.vstack([self.coeffs, rad + [0] * (n - len(rad))])
-        return self.ids[code]
+        n, p = self.space.n, self.space.p
+        chi = [(-1) ** n % p] + [code // p ** (j - 1) % p for j in range(1, n)] + [1]
+        rad = polys.radical(chi, self.space.field)
+        if rad is None:
+            return 0
+        self.coeffs = np.vstack([self.coeffs, rad + [0] * (n - len(rad))])
+        return len(self.coeffs) - 1
 
     def lookup(self, codes: np.ndarray) -> np.ndarray:
         """The class id of every code."""
-        if self.table is None:
-            return np.array([self._id(c) for c in codes.ravel().tolist()]).reshape(codes.shape)
-        ids = self.table[codes]
-        unknown = set(codes[ids == -1].tolist())
-        for code in unknown:
-            self.table[code] = self._id(code)
-        return self.table[codes] if unknown else ids
+        at = np.searchsorted(self.known, codes)
+        missing = self.known[at] != codes
+        if missing.any():
+            new = sorted(set(codes[missing].tolist()))
+            where = np.searchsorted(self.known, new)
+            self.known = np.insert(self.known, where, new)
+            self.ids = np.insert(self.ids, where, [self._id(code) for code in new])
+            at = np.searchsorted(self.known, codes)
+        return self.ids[at]
 
 
 def shift_tables(pool: ElementSet, witnesses, tick=lambda done: None):
     """Yield the shift table of each t in witnesses.
 
-    The pool is decoded once into its compounds L_j(g), j < n.  As
+    The pool is decoded once into its compounds L_j(g), j < n, which
+    hold C(2n, n) - 2 entries a member: 18 at n = 3, 922 at n = 6 and
+    12,868 at n = 8, where decoding costs more than the n^4 products of
+    a shift's charpoly would.  As
     e_j(t^k g) = tr(L_j(t^k) L_j(g)), a block's traces and codes take
-    one int64 matmul per j, exact: its sums stay below
-    C(n, j)^2 (p - 1)^2 < 2^63 for n <= 17.
-    Row k = 0 is tabled once.  Only shifts with a non-squarefree chi
-    are formed, to test rad(chi)(t^k g) = 0 (classify_semisimple's
-    rule).  tick(done) follows every block: 0 while decoding, then the
-    members tabled so far.
+    one int64 matmul per j, exact as its sums stay below
+    C(n, j)^2 (p - 1)^2 < 2^63.  Row k = 0 is tabled once.  Only shifts
+    with a non-squarefree chi are formed, to test rad(chi)(t^k g) = 0
+    (classify_semisimple's rule).  tick(done) follows every block: 0
+    while decoding, then the members tabled so far.
     """
     space = pool.space
     n, p = space.n, space.p
     members = list(pool.members)
     m = len(members)
     ends = np.cumsum([0] + [comb(n, j) ** 2 for j in range(1, n)]).tolist()
+    step = max(1, min(SHIFT_BLOCK, SHIFT_ENTRIES // ends[-1]))
     entry = np.min_scalar_type(p - 1)
     compounds = np.empty((ends[-1], m), dtype=entry)
-    for lo in range(0, m, SHIFT_BLOCK):
-        mats = np.array(members[lo : lo + SHIFT_BLOCK], dtype=np.int64).reshape(-1, n, n)
+    for lo in range(0, m, step):
+        mats = np.array(members[lo : lo + step], dtype=np.int64).reshape(-1, n, n)
         compounds[:, lo : lo + len(mats)] = np.concatenate(
-            [compound_batch(mats, j, p).reshape(len(mats), -1) for j in range(1, n)], axis=1).T
+            [lj.reshape(len(mats), -1) for lj in compound_batches(mats, p)[:-1]], axis=1).T
         tick(0)
     # codes < p^(n-1): Python ints past int64
     work = np.int64 if p ** (n - 1) <= np.iinfo(np.int64).max else object
     dtype = np.min_scalar_type(p ** (n - 1) - 1) if work is np.int64 else object
-    radicals = _Radicals(space)
+    radicals = _Radicals(space, work)
 
     def tabulate(hs, traces, codes, semisimple):
         """Fill rows k of the (K, m) tables with h_k g, hs (K, n, n)."""
         # row k gives a_{n-j}(h_k g) = (-1)^j e_j, as tr(A B) = sum(A^T * B)
-        forms = [(-1) ** j * compound_batch(hs, j, p).transpose(0, 2, 1).reshape(len(hs), -1)
-                 for j in range(1, n)]
-        for lo in range(0, m, SHIFT_BLOCK):
-            part = slice(lo, lo + SHIFT_BLOCK)
+        forms = [(-1) ** j * lj.transpose(0, 2, 1).reshape(len(hs), -1)
+                 for j, lj in enumerate(compound_batches(hs, p)[:-1], start=1)]
+        for lo in range(0, m, step):
+            part = slice(lo, lo + step)
             block = compounds[:, part].astype(np.int64)
             for j in range(1, n):  # a_{n-1} first
                 a = np.matmul(forms[j - 1], block[ends[j - 1] : ends[j]])
@@ -192,7 +197,7 @@ def shift_tables(pool: ElementSet, witnesses, tick=lambda done: None):
                 value.reshape(len(value), -1)[:, :: n + 1] += coeffs[:, :1]
                 value %= p
                 semisimple[:, part][k, col] = ~value.any(axis=(1, 2))
-            tick(min(m, lo + SHIFT_BLOCK))
+            tick(min(m, lo + step))
 
     own = None  # row k = 0, the members: the same in every table
     for t in witnesses:
@@ -218,14 +223,8 @@ def _wealths(table: ShiftTable, i: int, p: int) -> np.ndarray:
     """Per trace value r < p: the number of distinct invariants among
     semisimple shifts t^i g with tr(t^i g) = r (a code fixes its trace)."""
     ss = table.semisimple[i]
-    codes, traces = table.codes[i, ss], table.traces[i, ss]
-    size = p ** (len(table.codes) - 2)  # p^(n-1): n + 1 rows
-    if size <= CLASS_TABLE:
-        trace_of = np.full(size, p)  # p: code not met
-        trace_of[codes] = traces
-        return np.bincount(trace_of, minlength=p + 1)[:p]
-    trace_of = dict(zip(codes.tolist(), traces.tolist()))
-    return np.bincount(list(trace_of.values()), minlength=p)
+    _, first = np.unique(table.codes[i, ss], return_index=True)
+    return np.bincount(table.traces[i, ss][first], minlength=p)
 
 
 def wealth(t: Mat, i: int, r: int, pool: ElementSet) -> int:
@@ -275,23 +274,27 @@ def dyadic_bins(t: Mat, pool: ElementSet, table: ShiftTable | None = None,
     if table is None:
         table = shift_table(t, pool)
     eligible = np.flatnonzero(table.semisimple.all(axis=0))
-    # jvec packed 6 bits a shift, first highest: exponents are below 64
-    packed = np.zeros(len(eligible), dtype=np.int64)
+    exponents = np.empty((n + 1, len(eligible)), dtype=np.int64)
     for i in range(n + 1):
-        wealths = _wealths(table, i, space.p)
-        exponents = np.zeros_like(wealths)
-        held = np.flatnonzero(wealths)
-        exponents[held] = [w.bit_length() - 1 for w in wealths[held].tolist()]
-        packed = packed * 64 + exponents[table.traces[i, eligible]]
+        # bit length minus one: an eligible member's own trace has wealth >= 1
+        bits = np.frexp(_wealths(table, i, space.p))[1] - 1
+        exponents[i] = bits[table.traces[i, eligible]]
         tick(i + 1)
     tick(n + 1)
+    if not len(eligible):
+        return []
+    # columns in jvec order, found by lexsort: np.unique(axis=1) sorts
+    # structured rows, some five times slower
+    order = np.lexsort(exponents[::-1])
+    ranked = exponents[:, order]
+    cuts = np.flatnonzero((ranked[:, 1:] != ranked[:, :-1]).any(axis=0)) + 1
     return [
-        WealthBin(t=t, jvec=tuple(key >> 6 * (n - i) & 63 for i in range(n + 1)),
+        WealthBin(t=t, jvec=tuple(jvec),
                   members=ElementSet(space, partial(_members_at, table.members, columns),
                                      len(columns)),
                   columns=columns)
-        for key, columns in ((key, eligible[packed == key])
-                             for key in sorted(set(packed.tolist())))
+        for jvec, columns in zip(ranked[:, np.r_[0, cuts]].T.tolist(),
+                                 np.split(eligible[order], cuts))
     ]
 
 

@@ -1,10 +1,10 @@
 """The batched shift table against the per-element kernels and oracles.
 
 The table reads e_j(t^k g) off the compound matrices as
-tr(L_j(t^k) L_j(g)) (Cauchy-Binet); `compound_batch` is checked against
-`char_poly_full` first.  Each entry of `shift_table(t, pool)` (the
-trace, the packed invariant and the semisimple bit of t^k g) is
-compared with `SpecialLinear.trace`, `char_poly` and
+tr(L_j(t^k) L_j(g)) (Cauchy-Binet); `compound_batches` is checked
+against `char_poly_full` and `det_oracle` first.  Each entry of
+`shift_table(t, pool)` (the trace, the packed invariant and the
+semisimple bit of t^k g) is compared with `SpecialLinear.trace`, `char_poly` and
 `classify_semisimple`, and at small p with `classify_oracle` in
 tests/oracles.py, which decides by rational roots for n <= 3 and by the
 brute-force minimal polynomial for n = 4: the table and
@@ -13,7 +13,7 @@ counts read off the table are compared with the per-element loop
 `dyadic_bins_oracle` and with `trace_tuple`/`class_tuple`.
 """
 
-from itertools import product
+from itertools import combinations, product
 from random import Random
 
 import numpy as np
@@ -31,11 +31,16 @@ from slgrowth import (
     shift_tables,
     trace_tuple,
 )
-from slgrowth import tracelab
-from slgrowth.matrices import compound_batch
-from slgrowth.tracelab import SHIFT_BLOCK
+from slgrowth.matrices import compound_batches
+from slgrowth.tracelab import SHIFT_BLOCK, SHIFT_ENTRIES
 
-from oracles import classify_oracle, diagonal_sum, dyadic_bins_oracle, regular_semisimple
+from oracles import (
+    classify_oracle,
+    det_oracle,
+    diagonal_sum,
+    dyadic_bins_oracle,
+    regular_semisimple,
+)
 
 NS = SemisimplicityClass.NOT_SEMISIMPLE
 
@@ -86,8 +91,8 @@ def assert_cauchy_binet(space, hs, gs):
     """e_j(h g) = tr(L_j(h) L_j(g)) for every pair and j = 1..n, with
     e_j read off char_poly_full(h g) as (-1)^j a_{n-j}."""
     n, p = space.n, space.p
-    compounds = [(compound_batch(stack(space, hs), j, p),
-                  compound_batch(stack(space, gs), j, p)) for j in range(1, n + 1)]
+    compounds = zip(compound_batches(stack(space, hs), p),
+                    compound_batches(stack(space, gs), p))
     for j, (lh, lg) in enumerate(compounds, start=1):
         got = np.einsum("hab,gba->hg", lh, lg) % p
         for a, h in enumerate(hs):
@@ -116,13 +121,32 @@ def test_compound_of_a_stack_is_minors():
     space = SpecialLinear(4, 7)
     rng = Random(47)
     mats = [space.random_element(rng) for _ in range(5)]
-    got = compound_batch(stack(space, mats), 2, 7)
+    got = compound_batches(stack(space, mats), 7)[1]
     pairs = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
     for g, compound in zip(mats, got):
         rows = space.to_rows(g)
         for (a, (i, k)), (b, (j, l)) in product(enumerate(pairs), repeat=2):
             minor = rows[i][j] * rows[k][l] - rows[i][l] * rows[k][j]
             assert compound[a, b] == minor % 7
+
+
+@pytest.mark.parametrize("n,p", [(5, 7), (6, 7)])
+def test_every_compound_is_minors(n, p):
+    """Entry [I, J] of L_j(g) is det g[I, J] for every j = 1..n, with
+    det_oracle's row reduction as the reference."""
+    space = SpecialLinear(n, p)
+    rng = Random(n * p)
+    mats = [space.random_element(rng) for _ in range(3)] + [space.identity()]
+    compounds = compound_batches(stack(space, mats), p)
+    assert len(compounds) == n
+    for j, got in enumerate(compounds, start=1):
+        sets = list(combinations(range(n), j))
+        assert got.shape == (len(mats), len(sets), len(sets))
+        for g, compound in zip(mats, got):
+            rows = space.to_rows(g)
+            for (a, rs), (b, cs) in product(enumerate(sets), repeat=2):
+                minor = det_oracle([[rows[i][c] for c in cs] for i in rs], p)
+                assert compound[a, b] == minor, (g, rs, cs)
 
 
 @pytest.mark.parametrize("p", [5, 7])
@@ -251,6 +275,22 @@ def test_table_chunk_edges(size):
     assert_table_matches(space, t, sorted(members), True)
 
 
+# members per block at n = 6, where the compounds hold C(12, 6) - 2 = 922
+# entries a member
+WIDE_BLOCK = SHIFT_ENTRIES // 922
+
+
+@pytest.mark.parametrize("size", [WIDE_BLOCK - 1, WIDE_BLOCK, WIDE_BLOCK + 1])
+def test_table_entry_bound_edges(size):
+    space = SpecialLinear(6, 7)
+    rng = Random(size)
+    t = regular_semisimple(space, rng)
+    members = [space.identity()]
+    while len(members) < size:
+        members.append(space.random_element(rng))
+    assert_table_matches(space, t, members, False)
+
+
 # ---------------------------------------------------------------------------
 # bins and tuple counts against the per-element loop
 
@@ -284,19 +324,6 @@ def test_bins_and_counts_match_oracle_sl3_f7_with_non_regular_classes():
     t = regular_semisimple(space, rng)
     members = conjugates(space, non_regular_classes(space), rng, count=5)
     members += [space.random_element(rng) for _ in range(400)]
-    assert check_bins_and_counts(space, t, members)
-
-
-def test_class_dict_path_matches_oracle(monkeypatch):
-    """Past CLASS_TABLE codes the class ids and the wealths go through
-    dicts, not arrays; forced at p = 5, both still match the oracles."""
-    monkeypatch.setattr(tracelab, "CLASS_TABLE", 1)
-    space = SpecialLinear(3, 5)
-    rng = Random(35)
-    t = regular_semisimple(space, rng)
-    members = conjugates(space, non_regular_classes(space), rng)
-    members += [space.random_element(rng) for _ in range(300)]
-    assert_table_matches(space, t, members, True)
     assert check_bins_and_counts(space, t, members)
 
 
