@@ -105,11 +105,16 @@ class _Radicals:
     squarefree chi, else the row of rad(chi), padded, in `coeffs`."""
 
     def __init__(self, space: SpecialLinear, dtype):
-        self.space = space
-        # the codes met so far, sorted, and p^(n-1), which no code reaches
-        self.known = np.array([space.p ** (space.n - 1)], dtype=dtype)
-        self.ids = np.zeros(1, dtype=np.int64)
+        self.space, self.dtype = space, dtype
+        # every code met so far, and p^(n-1), which no code reaches
+        self.ids_of = {space.p ** (space.n - 1): 0}
         self.coeffs = np.zeros((1, space.n), dtype=np.int64)
+        self._sort()
+
+    def _sort(self):
+        codes = sorted(self.ids_of)
+        self.known = np.array(codes, dtype=self.dtype)
+        self.ids = np.array([self.ids_of[code] for code in codes], dtype=np.int64)
 
     def _id(self, code) -> int:
         n, p = self.space.n, self.space.p
@@ -121,14 +126,13 @@ class _Radicals:
         return len(self.coeffs) - 1
 
     def lookup(self, codes: np.ndarray) -> np.ndarray:
-        """The class id of every code."""
+        """The class id of every code, by a sorted search of the codes met."""
         at = np.searchsorted(self.known, codes)
         missing = self.known[at] != codes
         if missing.any():
-            new = sorted(set(codes[missing].tolist()))
-            where = np.searchsorted(self.known, new)
-            self.known = np.insert(self.known, where, new)
-            self.ids = np.insert(self.ids, where, [self._id(code) for code in new])
+            for code in set(codes[missing].tolist()):
+                self.ids_of[code] = self._id(code)
+            self._sort()
             at = np.searchsorted(self.known, codes)
         return self.ids[at]
 
@@ -222,9 +226,10 @@ def shift_table(t: Mat, pool: ElementSet, tick=lambda done: None) -> ShiftTable:
 def _wealths(table: ShiftTable, i: int, p: int) -> np.ndarray:
     """Per trace value r < p: the number of distinct invariants among
     semisimple shifts t^i g with tr(t^i g) = r (a code fixes its trace)."""
-    ss = table.semisimple[i]
-    _, first = np.unique(table.codes[i, ss], return_index=True)
-    return np.bincount(table.traces[i, ss][first], minlength=p)
+    codes = table.codes[i, table.semisimple[i]]
+    distinct = np.array(list(set(codes.tolist())), dtype=codes.dtype)
+    top = p ** (len(table.codes) - 3)  # p^(n-2), the place of a_{n-1}: n + 1 rows
+    return np.bincount(-(distinct // top).astype(np.int64) % p, minlength=p)
 
 
 def wealth(t: Mat, i: int, r: int, pool: ElementSet) -> int:
@@ -274,7 +279,7 @@ def dyadic_bins(t: Mat, pool: ElementSet, table: ShiftTable | None = None,
     if table is None:
         table = shift_table(t, pool)
     eligible = np.flatnonzero(table.semisimple.all(axis=0))
-    exponents = np.empty((n + 1, len(eligible)), dtype=np.int64)
+    exponents = np.empty((n + 1, len(eligible)), dtype=np.uint8)  # each below 64
     for i in range(n + 1):
         # bit length minus one: an eligible member's own trace has wealth >= 1
         bits = np.frexp(_wealths(table, i, space.p))[1] - 1
