@@ -152,9 +152,8 @@ def assemble_vital_instance(A: ElementSet, D: ElementSet, pool_radius: int,
     field = space.field
     witnesses = D.sorted_members()
     eigenvalues = space.split_eigenvalues_batch(witnesses)
-    for t, eigs in zip(witnesses, eigenvalues):
-        if eigs is None:
-            space.require_split(t, "vital instances")  # raises the reason
+    if None in eigenvalues:  # require_split raises the reason
+        space.require_split(witnesses[eigenvalues.index(None)], "vital instances")
 
     pool = word_ball(A, pool_radius, budget)
     kept: list[Mat] = []

@@ -406,10 +406,12 @@ def triple_oracle(space, members):
 # trace-lab oracle
 
 
-def dyadic_bins_oracle(space, t, members):
+def dyadic_bins_oracle(space, t, members, classify=classify_oracle):
     """{jvec: frozenset of members}, the dyadic wealth bins built one
-    element and one shift at a time: classify_oracle and char_poly of
-    every t^k g, wealth tables as sets of invariants per trace."""
+    element and one shift at a time: classify (classify_oracle, or a
+    per-element kernel where its n! expansion is out of reach) and
+    char_poly of every t^k g, wealth tables as sets of invariants per
+    trace."""
     n = space.n
     powers = space.power_list(t, n)
     kappa_tables = [dict() for _ in range(n + 1)]
@@ -421,7 +423,7 @@ def dyadic_bins_oracle(space, t, members):
             shifted = space.mul(powers[i], g)
             tr = diagonal_sum(space, shifted)
             traces.append(tr)
-            if classify_oracle(space, shifted) is SemisimplicityClass.NOT_SEMISIMPLE:
+            if classify(space, shifted) is SemisimplicityClass.NOT_SEMISIMPLE:
                 all_ss = False
             else:
                 kappa_tables[i].setdefault(tr, set()).add(space.char_poly(shifted))

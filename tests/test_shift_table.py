@@ -116,21 +116,7 @@ def test_cauchy_binet_sampled(n, p):
     assert_cauchy_binet(space, hs, gs)
 
 
-def test_compound_of_a_stack_is_minors():
-    """Entry [I, J] of the j-th compound is the minor det g[I, J]."""
-    space = SpecialLinear(4, 7)
-    rng = Random(47)
-    mats = [space.random_element(rng) for _ in range(5)]
-    got = compound_batches(stack(space, mats), 7)[1]
-    pairs = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
-    for g, compound in zip(mats, got):
-        rows = space.to_rows(g)
-        for (a, (i, k)), (b, (j, l)) in product(enumerate(pairs), repeat=2):
-            minor = rows[i][j] * rows[k][l] - rows[i][l] * rows[k][j]
-            assert compound[a, b] == minor % 7
-
-
-@pytest.mark.parametrize("n,p", [(5, 7), (6, 7)])
+@pytest.mark.parametrize("n,p", [(4, 7), (5, 7), (6, 7)])
 def test_every_compound_is_minors(n, p):
     """Entry [I, J] of L_j(g) is det g[I, J] for every j = 1..n, with
     det_oracle's row reduction as the reference."""
@@ -325,6 +311,20 @@ def test_bins_and_counts_match_oracle_sl3_f7_with_non_regular_classes():
     members = conjugates(space, non_regular_classes(space), rng, count=5)
     members += [space.random_element(rng) for _ in range(400)]
     assert check_bins_and_counts(space, t, members)
+
+
+def test_bins_keep_jvecs_past_64_bits_apart():
+    """At n = 11 a jvec holds 12 exponents, past 64 bits at 6 bits each;
+    the bins still equal the per-element loop's, with classify_semisimple
+    in place of classify_oracle, whose n! expansion is out of reach."""
+    space = SpecialLinear(11, 13)
+    rng = Random(11)
+    t = regular_semisimple(space, rng)
+    members = [space.random_element(rng) for _ in range(24)]
+    expected = dyadic_bins_oracle(space, t, members, SpecialLinear.classify_semisimple)
+    assert any(jvec[0] for jvec in expected)
+    bins = dyadic_bins(t, ElementSet(space, frozenset(members)))
+    assert {b.jvec: b.members.members for b in bins} == expected
 
 
 def test_bins_and_counts_match_oracle_sl3():
