@@ -104,37 +104,25 @@ class _Radicals:
     """Class ids of a pool's codes, each radical found once: 0 for a
     squarefree chi, else the row of rad(chi), padded, in `coeffs`."""
 
-    def __init__(self, space: SpecialLinear, dtype):
-        self.space, self.dtype = space, dtype
-        # every code met so far, and p^(n-1), which no code reaches
-        self.ids_of = {space.p ** (space.n - 1): 0}
+    def __init__(self, space: SpecialLinear):
+        self.space, self.ids = space, {}
         self.coeffs = np.zeros((1, space.n), dtype=np.int64)
-        self._sort()
-
-    def _sort(self):
-        codes = sorted(self.ids_of)
-        self.known = np.array(codes, dtype=self.dtype)
-        self.ids = np.array([self.ids_of[code] for code in codes], dtype=np.int64)
 
     def _id(self, code) -> int:
-        n, p = self.space.n, self.space.p
-        chi = [(-1) ** n % p] + [code // p ** (j - 1) % p for j in range(1, n)] + [1]
-        rad = polys.radical(chi, self.space.field)
-        if rad is None:
-            return 0
-        self.coeffs = np.vstack([self.coeffs, rad + [0] * (n - len(rad))])
-        return len(self.coeffs) - 1
+        if code not in self.ids:
+            n, p = self.space.n, self.space.p
+            chi = [(-1) ** n % p] + [code // p ** (j - 1) % p for j in range(1, n)] + [1]
+            rad = polys.radical(chi, self.space.field)
+            self.ids[code] = 0 if rad is None else len(self.coeffs)
+            if rad is not None:
+                self.coeffs = np.vstack([self.coeffs, rad + [0] * (n - len(rad))])
+        return self.ids[code]
 
     def lookup(self, codes: np.ndarray) -> np.ndarray:
-        """The class id of every code, by a sorted search of the codes met."""
-        at = np.searchsorted(self.known, codes)
-        missing = self.known[at] != codes
-        if missing.any():
-            for code in set(codes[missing].tolist()):
-                self.ids_of[code] = self._id(code)
-            self._sort()
-            at = np.searchsorted(self.known, codes)
-        return self.ids[at]
+        """The class id of every code, looked up once per distinct code."""
+        distinct = sorted(set(codes.ravel().tolist()))
+        ids = np.array([self._id(code) for code in distinct], dtype=np.int64)
+        return ids[np.searchsorted(np.array(distinct, dtype=codes.dtype), codes)]
 
 
 def shift_tables(pool: ElementSet, witnesses, tick=lambda done: None):
@@ -167,7 +155,7 @@ def shift_tables(pool: ElementSet, witnesses, tick=lambda done: None):
     # codes < p^(n-1): Python ints past int64
     work = np.int64 if p ** (n - 1) <= np.iinfo(np.int64).max else object
     dtype = np.min_scalar_type(p ** (n - 1) - 1) if work is np.int64 else object
-    radicals = _Radicals(space, work)
+    radicals = _Radicals(space)
 
     def tabulate(hs, traces, codes, semisimple):
         """Fill rows k of the (K, m) tables with h_k g, hs (K, n, n)."""
