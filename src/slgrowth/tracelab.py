@@ -109,19 +109,21 @@ class _Radicals:
         self.coeffs = np.zeros((1, space.n), dtype=np.int64)
 
     def _id(self, code) -> int:
-        if code not in self.ids:
-            n, p = self.space.n, self.space.p
-            chi = [(-1) ** n % p] + [code // p ** (j - 1) % p for j in range(1, n)] + [1]
-            rad = polys.radical(chi, self.space.field)
-            self.ids[code] = 0 if rad is None else len(self.coeffs)
-            if rad is not None:
-                self.coeffs = np.vstack([self.coeffs, rad + [0] * (n - len(rad))])
-        return self.ids[code]
+        n, p = self.space.n, self.space.p
+        chi = [(-1) ** n % p] + [code // p ** (j - 1) % p for j in range(1, n)] + [1]
+        rad = polys.radical(chi, self.space.field)
+        if rad is None:
+            return 0
+        self.coeffs = np.vstack([self.coeffs, rad + [0] * (n - len(rad))])
+        return len(self.coeffs) - 1
 
     def lookup(self, codes: np.ndarray) -> np.ndarray:
         """The class id of every code, looked up once per distinct code."""
-        distinct = sorted(set(codes.ravel().tolist()))
-        ids = np.array([self._id(code) for code in distinct], dtype=np.int64)
+        seen = set(codes.ravel().tolist())
+        for code in seen - self.ids.keys():
+            self.ids[code] = self._id(code)
+        distinct = sorted(seen)
+        ids = np.array([self.ids[code] for code in distinct], dtype=np.int64)
         return ids[np.searchsorted(np.array(distinct, dtype=codes.dtype), codes)]
 
 
