@@ -33,13 +33,7 @@ from .errors import (
     Indeterminate,
     SlgrowthError,
 )
-from .energy import (
-    ScalarSet,
-    additive_energy,
-    assemble_vital_instance,
-    vital_diagnostics,
-)
-from .field import PrimeField
+from .energy import additive_energy, assemble_vital_instance, vital_diagnostics
 from .growth import (
     Budget,
     DEFAULT_MAX_ELEMENTS,
@@ -50,7 +44,7 @@ from .growth import (
     standard_generators,
     word_ball,
 )
-from .matrices import SpecialLinear
+from .matrices import SpecialLinear, space_field
 from .tracelab import (
     bin_spread,
     distinct_tuple_counts,
@@ -188,7 +182,7 @@ class ExperimentConfig:
                 0 < self.budget_secs <= sys.float_info.max):
             raise ValueError("--budget-secs must be positive and finite")
         for p in self.primes():
-            SpecialLinear(self.n, p)  # p odd prime > n, entry width checks
+            space_field(self.n, p)  # p odd prime > n, entry width checks
         return self
 
     def primes(self) -> list[int]:
@@ -455,7 +449,6 @@ def _cmd_energy(cfg: ExperimentConfig, outputs: dict) -> dict:
     from .draws import WordReader
 
     p = cfg.p
-    fld = PrimeField(p)
     rng = stream_rng(cfg.seed, f"energy:{p}")
     cap = min(cfg.size, p)
     columns = ["trial", "p", "size_x", "size_y", "energy", "support",
@@ -467,9 +460,7 @@ def _cmd_energy(cfg: ExperimentConfig, outputs: dict) -> dict:
         for trial in range(cfg.trials):
             nx = draws.randint(1, cap)
             ny = draws.randint(1, cap)
-            X = ScalarSet(fld, frozenset(draws.sample(p, nx)))
-            Y = ScalarSet(fld, frozenset(draws.sample(p, ny)))
-            e, counts = additive_energy(X, Y)
+            e, counts = additive_energy(draws.sample(p, nx), draws.sample(p, ny), p)
             support = int(np.count_nonzero(counts))
             lower = -(-((nx * ny) ** 2) // support)  # ceil division
             upper = nx * ny * min(nx, ny)
@@ -487,16 +478,18 @@ def _cmd_vital(cfg: ExperimentConfig, outputs: dict) -> dict:
     base = word_ball(gens, cfg.radius, cfg.budget())
     kmax = max(cfg.k_list)
     witness_ball = word_ball(base, kmax, cfg.budget())
-    members = list(witness_ball.members)
+    members = witness_ball.sorted_members()
+    eigenvalues = space.split_eigenvalues_batch(members)
     D = ElementSet(space, frozenset(
-        t for t, eigs in zip(members, space.split_eigenvalues_batch(members))
-        if eigs is not None))
+        t for t, eigs in zip(members, eigenvalues) if eigs is not None))
     if not len(D):
         raise ValueError(
             "no split regular witnesses in the scanned ball; "
             "raise --k or --radius"
         )
-    instance = assemble_vital_instance(base, D, cfg.radius, cfg.budget())
+    # D's eigenvalues in D's sorted order, so that they are not found twice
+    instance = assemble_vital_instance(base, D, cfg.radius, cfg.budget(),
+                                       [eigs for eigs in eigenvalues if eigs is not None])
     report = vital_diagnostics(
         instance.X, instance.Y, instance.fibers, cfg.delta
     )

@@ -6,8 +6,9 @@ rejects values >= n, and getrandbits(32*m) returns the next m words,
 the first in the lowest bits.  Two readers apply that rule in bulk:
 
 - WordReader reads the words in numpy chunks and returns what
-  randrange, randint and sample(range(n), k) would, value for value;
-  close() leaves the generator where those calls would have left it.
+  randrange, randint and sample(range(n), k) would, value for value,
+  sample's as an int64 array; close() leaves the generator where those
+  calls would have left it.
 - randrange_runs yields what consecutive randrange(n) calls return, in
   lists of a fixed length.  It filters the words without numpy, because
   the ufunc code a numpy filter loads costs the element stream
@@ -25,6 +26,8 @@ from typing import Iterator
 import numpy as np
 
 CHUNK_WORDS = 4096
+SCRATCH_MAX = 1 << 20  # largest n whose sample keeps a position per value
+_UNSEEN = np.iinfo(np.int64).max
 
 
 class WordReader:
@@ -39,6 +42,7 @@ class WordReader:
         self._state = None  # the generator's state before the last chunk
         self._chunk = np.zeros(0, dtype="<u4")
         self._pos = 0  # words of the last chunk read so far
+        self._first = np.zeros(0, dtype=np.int64)  # sample's scratch, all _UNSEEN
 
     def __enter__(self) -> "WordReader":
         return self
@@ -47,11 +51,12 @@ class WordReader:
         self.close()
 
     def close(self) -> None:
-        """Rewind the generator to just after the words read."""
+        """Rewind the generator to just after the words read; drop the chunk."""
         if self._state is not None:
             self._rng.setstate(self._state)
             self._rng.getrandbits(32 * self._pos)
             self._state = None
+            self._chunk, self._pos = self._chunk[:0], 0
 
     def _window(self, size: int) -> np.ndarray:
         """Up to `size` unread words, refilling when the chunk is spent."""
@@ -77,8 +82,8 @@ class WordReader:
         """rng.randint(a, b)."""
         return a + self.randrange(b - a + 1)
 
-    def sample(self, n: int, k: int) -> list[int]:
-        """rng.sample(range(n), k)."""
+    def sample(self, n: int, k: int) -> np.ndarray:
+        """rng.sample(range(n), k), as an int64 array."""
         if not 0 <= k <= n:
             raise ValueError("Sample larger than population or is negative")
         setsize = 21  # the stdlib's rule for a list pool against a set
@@ -91,20 +96,34 @@ class WordReader:
                 j = self.randrange(n - i)
                 out.append(pool[j])
                 pool[j] = pool[n - i - 1]
-            return out
-        # the first k distinct accepted values, in order
-        shift = _shift(n)
-        selected = {}
+            return np.array(out, dtype=np.int64)
+        if n > SCRATCH_MAX:  # no scratch of n positions: the stdlib draws
+            self.close()
+            return np.array(self._rng.sample(range(n), k), dtype=np.int64)
+        # the first k distinct accepted values, in order: a value is new
+        # where its word's position in this call is the least that
+        # np.minimum.at leaves in first[value]
+        if len(self._first) != n:
+            self._first = np.full(n, _UNSEEN, dtype=np.int64)
+        first, shift = self._first, _shift(n)
+        found = []  # the new values of each window
+        missing, read = k, 0  # read: the words of this call's earlier windows
         while True:
-            values = self._window(2 * (k - len(selected)) + 8) >> shift
-            kept = np.flatnonzero(values < n)
-            accepted = values[kept].tolist()
-            selected.update(dict.fromkeys(accepted))
-            if len(selected) >= k:
-                out = list(selected)[:k]
-                if out:
-                    self._pos += int(kept[accepted.index(out[-1])]) + 1
-                return out
+            values = self._window(2 * missing + 8) >> shift
+            at = np.flatnonzero(values < n)
+            accepted = values[at]
+            at += read
+            np.minimum.at(first, accepted, at)
+            new = first[accepted] == at
+            found.append(accepted[new])
+            if len(found[-1]) >= missing:
+                out = np.concatenate(found)
+                first[out] = _UNSEEN  # every value this call touched, once each
+                if missing:
+                    self._pos += int(at[new][missing - 1]) - read + 1
+                return out[:k].astype(np.int64)
+            missing -= len(found[-1])
+            read += len(values)
             self._pos += len(values)
 
 

@@ -29,7 +29,7 @@ from .tracelab import (
     shift_tables,
 )
 
-_CHUNK_ENTRIES = 8_000_000  # cap on the live difference-table block
+_CHUNK_ENTRIES = 1 << 15  # cap on the live difference block, 256 KB
 
 
 @dataclass(frozen=True)
@@ -91,35 +91,32 @@ class FiberFamily:
         return self.assignments.get(tuple(y), frozenset())
 
 
-def additive_energy(X: ScalarSet, Y: ScalarSet) -> tuple[int, np.ndarray]:
-    """(sum_d r(d)^2, r) with r(d) = #{(a, b) in X x Y : a - b = d mod p}.
+def additive_energy(xs, ys, p: int) -> tuple[int, np.ndarray]:
+    """(sum_d r(d)^2, r) with r(d) = #{(a, b) in X x Y : a - b = d mod p},
+    for X and Y given as int arrays of distinct residues in [0, p).
 
     r is the int64 difference-count vector of length p, so |X - Y| is
     its number of nonzero entries.  Each pair gives a + p - b in
     [1, 2p), which is d or d + p, so one bincount over 2p bins per
-    block of pairs, folded once as r = c[:p] + c[p:], needs no modulo
-    per pair.  Counts stay far inside int64 at desk scale, so the
-    energy is exact.  Empty inputs give (0, zeros(p)).
+    block of at most _CHUNK_ENTRIES pairs, folded into r, needs no
+    modulo per pair.  Counts stay far inside int64 at desk scale, so
+    the energy is exact.  Empty inputs give (0, zeros(p)).
     """
-    if X.field != Y.field:
-        raise ValueError("energy needs both sets over one field")
-    p = X.field.p
-    if not X.elements or not Y.elements:
-        return 0, np.zeros(p, dtype=np.int64)
-    xs = np.array(list(X.elements), dtype=np.int64) + p
-    ys = np.array(list(Y.elements), dtype=np.int64)
-    step = max(1, _CHUNK_ENTRIES // len(ys))
-    counts = sum(np.bincount((xs[lo : lo + step, None] - ys).ravel(), minlength=2 * p)
-                 for lo in range(0, len(xs), step))
-    counts = counts[:p] + counts[p:]
+    counts = np.zeros(p, dtype=np.int64)
+    xs, ys = np.asarray(xs, dtype=np.int64), p - np.asarray(ys, dtype=np.int64)
+    step = max(1, _CHUNK_ENTRIES // max(1, len(ys)))
+    for lo in range(0, len(xs), step):
+        block = np.bincount((xs[lo : lo + step, None] + ys).ravel(), minlength=2 * p)
+        counts += block[:p]
+        counts += block[p:]
+        del block  # before the next block's bincount allocates its own
     return int(np.dot(counts, counts)), counts
 
 
-def dilate(X: ScalarSet, y: int) -> ScalarSet:
-    """{y * x mod p : x in X}; a bijection on X for y != 0."""
-    p = X.field.p
-    y %= p
-    return ScalarSet(X.field, frozenset((y * x) % p for x in X.elements))
+def dilate(xs, y: int, p: int) -> np.ndarray:
+    """{y * x mod p : x in X} as a sorted int64 array; a bijection on X
+    for y != 0 mod p."""
+    return np.unique(np.asarray(xs, dtype=np.int64) * (y % p) % p)
 
 
 class VitalInstance(NamedTuple):
@@ -129,7 +126,8 @@ class VitalInstance(NamedTuple):
 
 
 def assemble_vital_instance(A: ElementSet, D: ElementSet, pool_radius: int,
-                            budget: Budget = DEFAULT_BUDGET) -> VitalInstance:
+                            budget: Budget = DEFAULT_BUDGET,
+                            eigenvalues: list | None = None) -> VitalInstance:
     """Build (X, Y, fibers) from a base set A and torus elements D.
 
     Pool is the radius-`pool_radius` word ball of A.  Each witness t in
@@ -141,7 +139,8 @@ def assemble_vital_instance(A: ElementSet, D: ElementSet, pool_radius: int,
     the realized tuples (tr(a), ..., tr(t^{n-1} a)).  The budget's
     seconds hold for the witness loop too, checked before each witness,
     after every block of the pool's decoding and of its shift table, and
-    after every shift of its dyadic bins.
+    after every shift of its dyadic bins.  `eigenvalues`, when given,
+    are the caller's split_eigenvalues_batch of D.sorted_members().
     """
     space = A.space
     if D.space != space:
@@ -151,7 +150,8 @@ def assemble_vital_instance(A: ElementSet, D: ElementSet, pool_radius: int,
     n = space.n
     field = space.field
     witnesses = D.sorted_members()
-    eigenvalues = space.split_eigenvalues_batch(witnesses)
+    if eigenvalues is None:
+        eigenvalues = space.split_eigenvalues_batch(witnesses)
     if None in eigenvalues:  # require_split raises the reason
         space.require_split(witnesses[eigenvalues.index(None)], "vital instances")
 
@@ -257,9 +257,8 @@ def vital_diagnostics(X: ScalarSet, Y: VectorSet, fibers: FiberFamily,
         sizes.append(size)
         rows.append((y, size, fiber_exponent(size, len(X))))
     pi1 = sorted({y[0] for y in Y.elements})
-    energy_sum = 0
-    for y1 in pi1:
-        energy_sum += additive_energy(X, dilate(X, y1))[0]
+    xs = np.array(X.sorted_elements(), dtype=np.int64)
+    energy_sum = sum(additive_energy(xs, dilate(xs, y1, p), p)[0] for y1 in pi1)
     return VitalReport(
         p=p,
         delta=delta,

@@ -125,22 +125,30 @@ def inv_batch(mats: np.ndarray, coeffs: np.ndarray, p: int) -> np.ndarray:
     return value % p * np.array(scale, dtype=np.int64)[:, None, None] % p
 
 
+def space_field(n: int, p: int | PrimeField) -> PrimeField:
+    """The field of SL_n(F_p), once the experiment hypotheses hold:
+    entries of at most two bytes, p an odd prime, n >= 2 and p > n.
+    It builds no kernel, so a config is checked at any n."""
+    # before PrimeField, whose trial division would hang on a wide p
+    if (p.p if isinstance(p, PrimeField) else p) > 0xFFFF:
+        raise ValueError("entries wider than two bytes are unsupported")
+    field = p if isinstance(p, PrimeField) else PrimeField(p)
+    if n < 2:
+        raise ValueError(f"matrix size n={n} must be at least 2")
+    if field.p == 2:
+        raise ValueError("experiments require an odd prime modulus")
+    if field.p <= n:
+        raise ValueError(f"experiments require p > n, got p={field.p}, n={n}")
+    return field
+
+
 class SpecialLinear:
     """Ambient context for SL_n(F_p) with its exact matrix operations."""
 
     __slots__ = ("n", "p", "field", "mul", "_identity", "_entry_width")
 
     def __init__(self, n: int, p: int | PrimeField):
-        # before PrimeField, whose trial division would hang on a wide p
-        if (p.p if isinstance(p, PrimeField) else p) > 0xFFFF:
-            raise ValueError("entries wider than two bytes are unsupported")
-        field = p if isinstance(p, PrimeField) else PrimeField(p)
-        if n < 2:
-            raise ValueError(f"matrix size n={n} must be at least 2")
-        if field.p == 2:
-            raise ValueError("experiments require an odd prime modulus")
-        if field.p <= n:
-            raise ValueError(f"experiments require p > n, got p={field.p}, n={n}")
+        field = space_field(n, p)
         self.n = n
         self.p = field.p
         self.field = field

@@ -43,11 +43,12 @@ def test_benchmark_outputs_match_golden(tmp_path, capsys, monkeypatch, name):
     assert workload.check(manifest, files) == []
 
 
-@pytest.mark.parametrize("name", ["growth", "tracelab"])
+@pytest.mark.parametrize("name", ["energy", "growth", "tracelab"])
 def test_traced_work_matches_golden(tmp_path, name):
     """The work counts of one traced run, which run.py --trace 1 checks
     against traced_work; on growth they count the elements of every
-    closure and ball that the wrapped functions return."""
+    closure and ball that the wrapped functions return, on energy the
+    pairs |X||Y| that additive_energy's first two arguments give."""
     cmd = [sys.executable, str(PERFBENCH / "traced.py"), "--workload", name,
            "--seed", "0", "--out", str(tmp_path / "out.csv"),
            "--spans", str(tmp_path / "spans.json"), "--spawned", repr(time.monotonic())]

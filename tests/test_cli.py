@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from slgrowth import SpecialLinear, cli, standard_generators, word_ball
+from slgrowth import SpecialLinear, cli, matrices, standard_generators, word_ball
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -96,6 +96,21 @@ def test_wide_p_is_rejected_before_the_primality_test():
         assert proc.stderr.startswith(
             "configuration error: entries wider than two bytes"), argv
         assert proc.stdout == ""
+
+
+def test_config_checks_build_no_product_kernel(monkeypatch, capsys, tmp_path):
+    """The config checks (entry width, prime, odd, p > n) build no mul
+    kernel, whose source grows as n^3: energy does no matrix work, so
+    it runs at n = 200, and p <= n is still a config error."""
+    def refuse(n, p):
+        raise AssertionError(f"mul kernel built for n={n}, p={p}")
+
+    monkeypatch.setattr(matrices, "_make_mul", refuse)
+    argv = ["energy", "--n", "200", "--size", "5", "--trials", "1"]
+    assert cli.main([*argv, "--p", "211", "--out", str(tmp_path / "e.csv")]) == 0
+    assert cli.main([*argv, "--p", "199"]) == 2
+    assert capsys.readouterr().err == (
+        "configuration error: experiments require p > n, got p=199, n=200\n")
 
 
 def test_exit_code_config_error_from_dispatch(capsys):

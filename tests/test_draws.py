@@ -16,7 +16,9 @@ from random import Random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from slgrowth.draws import CHUNK_WORDS, WordReader, randrange_runs
+import numpy as np
+
+from slgrowth.draws import CHUNK_WORDS, SCRATCH_MAX, WordReader, randrange_runs
 
 # 1..3, both sides of powers of two (all rejection rates), desk primes
 BOUNDS = [1, 2, 3, 7, 8, 9, 127, 128, 129, 255, 256, 257, 10007, 65521,
@@ -93,7 +95,38 @@ def test_sample_matches_on_both_branches(n):
         want, got = Random(seed), Random(seed)
         reader = WordReader(got)
         for _ in range(3 if n <= 1009 else 1):
-            assert reader.sample(n, k) == want.sample(range(n), k)
+            drawn = reader.sample(n, k)
+            assert drawn.dtype == np.int64
+            assert drawn.tolist() == want.sample(range(n), k)
+        assert_same_state(want, got, reader)
+
+
+@pytest.mark.parametrize("n", [SCRATCH_MAX, SCRATCH_MAX + 1, (1 << 32) - 1])
+def test_sample_past_the_scratch_bound_is_the_stdlibs(n):
+    """Above SCRATCH_MAX the set branch keeps no position per value: the
+    reader rewinds and the stdlib draws, and reading goes on after it."""
+    want, got = Random(7), Random(7)
+    reader = WordReader(got)
+    for k in (0, 1, 50):
+        assert reader.randrange(1000) == want.randrange(1000)
+        assert reader.sample(n, k).tolist() == want.sample(range(n), k)
+    assert_same_state(want, got, reader)
+
+
+@pytest.mark.parametrize("n,k", [(10007, 6), (10007, 60), (32769, 60), (32769, 300)])
+def test_sample_windows_at_the_chunk_edge(n, k):
+    """The set branch reads a window of 2k + 8 words; started just before
+    the end of a chunk, the window is cut short, ends exactly there or
+    fits, and a cut one goes on in the next chunk.  n = 32769 rejects
+    about half the words, so the first window often falls short of k."""
+    width = 2 * k + 8
+    for left in (1, 2, k, width - 1, width, width + 1):
+        want, got = Random(left), Random(left)
+        reader = WordReader(got)
+        for _ in range(CHUNK_WORDS - left):  # one word each, but for 2^32 - 1
+            assert reader.randrange((1 << 32) - 1) == want.randrange((1 << 32) - 1)
+        assert reader.sample(n, k).tolist() == want.sample(range(n), k)
+        assert reader.sample(n, k).tolist() == want.sample(range(n), k)
         assert_same_state(want, got, reader)
 
 
@@ -128,9 +161,9 @@ def test_interleaved_calls_match():
     reader = WordReader(got)
     for i in range(400):
         assert reader.randint(1, 300) == want.randint(1, 300)
-        assert reader.sample(10007, i % 300) == want.sample(range(10007), i % 300)
+        assert reader.sample(10007, i % 300).tolist() == want.sample(range(10007), i % 300)
         assert reader.randrange(2) == want.randrange(2)
-        assert reader.sample(101, i % 60) == want.sample(range(101), i % 60)
+        assert reader.sample(101, i % 60).tolist() == want.sample(range(101), i % 60)
     assert_same_state(want, got, reader)
 
 
@@ -170,5 +203,5 @@ def test_random_call_sequences_match(seed, calls):
             assert reader.randint(a, b) == want.randint(a, b)
         else:
             n, k = call[1], min(call[1], int(call[2] * 2000))
-            assert reader.sample(n, k) == want.sample(range(n), k)
+            assert reader.sample(n, k).tolist() == want.sample(range(n), k)
     assert_same_state(want, got, reader)

@@ -2,6 +2,7 @@
 
 import json
 import time
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from math import log
@@ -44,40 +45,41 @@ def scalar(p, values):
     return ScalarSet(PrimeField(p), frozenset(v % p for v in values))
 
 
+def residues(p, values):
+    """The distinct residues of values mod p, as additive_energy takes them."""
+    return np.array(sorted({v % p for v in values}), dtype=np.int64)
+
+
 # ---------------------------------------------------------------------------
 # additive energy
 
 
 def test_energy_frozen_small():
-    X = scalar(7, [1, 2])
-    e, counts = additive_energy(X, X)
+    X = residues(7, [1, 2])
+    e, counts = additive_energy(X, X, 7)
     assert e == 6
     assert counts.tolist() == [2, 1, 0, 0, 0, 0, 1]
 
 
 def test_energy_full_field():
     for p in (5, 7, 11):
-        F = scalar(p, range(p))
-        e, counts = additive_energy(F, F)
+        F = residues(p, range(p))
+        e, counts = additive_energy(F, F, p)
         assert e == p**3
         assert counts.tolist() == [p] * p
 
 
 def test_energy_empty_and_singletons():
-    for X, Y in ((scalar(7, []), scalar(7, [1, 2])),
-                 (scalar(7, [3]), scalar(7, []))):
-        e, counts = additive_energy(X, Y)
+    for X, Y in ((residues(7, []), residues(7, [1, 2])),
+                 (residues(7, [3]), residues(7, [])),
+                 ([], [1, 2])):
+        e, counts = additive_energy(X, Y, 7)
         assert e == 0
         assert counts.dtype == np.int64
         assert counts.tolist() == [0] * 7
-    e, counts = additive_energy(scalar(7, [3]), scalar(7, [5]))
+    e, counts = additive_energy(residues(7, [3]), residues(7, [5]), 7)
     assert e == 1
     assert counts.tolist() == [0, 0, 0, 0, 0, 1, 0]  # 3 - 5 = 5 mod 7
-
-
-def test_energy_field_mismatch():
-    with pytest.raises(ValueError):
-        additive_energy(scalar(7, [1]), scalar(11, [1]))
 
 
 def test_energy_mass_and_cauchy_schwarz():
@@ -88,7 +90,7 @@ def test_energy_mass_and_cauchy_schwarz():
         for _ in range(4):
             xs = rng.sample(range(p), rng.randint(1, min(80, p - 1)))
             ys = rng.sample(range(p), rng.randint(1, min(80, p - 1)))
-            e, counts = additive_energy(scalar(p, xs), scalar(p, ys))
+            e, counts = additive_energy(residues(p, xs), residues(p, ys), p)
             assert counts.dtype == np.int64 and counts.shape == (p,)
             assert int(counts.sum()) == len(xs) * len(ys)
             by_pairs = Counter((a - b) % p for a in xs for b in ys)
@@ -105,27 +107,61 @@ def test_energy_matches_all_three_oracles():
         for _ in range(8):
             xs = rng.sample(range(p), rng.randint(1, min(60, p - 1)))
             ys = rng.sample(range(p), rng.randint(1, min(60, p - 1)))
-            e, _ = additive_energy(scalar(p, xs), scalar(p, ys))
+            e, _ = additive_energy(residues(p, xs), residues(p, ys), p)
             assert e == energy_by_pairs(p, xs, ys)
             assert e == energy_by_autocorrelation(p, xs, ys)
             assert e == energy_by_convolution(p, xs, ys)
 
 
 def test_energy_chunked_blocks_agree(monkeypatch):
-    rng = Random(13)
-    p = 257
-    xs = rng.sample(range(p), 90)
-    ys = rng.sample(range(p), 70)
-    whole, whole_counts = additive_energy(scalar(p, xs), scalar(p, ys))
-    monkeypatch.setattr(energy_mod, "_CHUNK_ENTRIES", 64)
-    e, counts = additive_energy(scalar(p, xs), scalar(p, ys))
-    assert e == whole
-    assert np.array_equal(counts, whole_counts)
+    """|X||Y| one pair under _CHUNK_ENTRIES = 2^15, exactly at it, and one
+    over it, which splits X into a block of 8 rows and one of a single
+    row, or into 3,640 rows and one: the same counts as one block and as
+    the pairs."""
+    assert energy_mod._CHUNK_ENTRIES == 1 << 15
+    p = 65521
+    sizes = []
+    bincount = np.bincount
+    monkeypatch.setattr(np, "bincount",
+                        lambda d, **kw: sizes.append(d.size) or bincount(d, **kw))
+    # 2^15 - 1, 2^15 and twice 2^15 + 1 pairs
+    for nx, ny in ((217, 151), (128, 256), (9, 3641), (3641, 9)):
+        assert abs(nx * ny - (1 << 15)) <= 1
+        rng = Random(nx)
+        xs = residues(p, rng.sample(range(p), nx))
+        ys = residues(p, rng.sample(range(p), ny))
+        sizes.clear()
+        e, counts = additive_energy(xs, ys, p)
+        assert max(sizes) <= 1 << 15 and sum(sizes) == nx * ny
+        assert len(sizes) == 1 + (nx * ny > 1 << 15)
+        with monkeypatch.context() as one_block:
+            one_block.setattr(energy_mod, "_CHUNK_ENTRIES", nx * ny)
+            whole, whole_counts = additive_energy(xs, ys, p)
+        assert e == whole and np.array_equal(counts, whole_counts)
+        assert counts.tolist() == difference_counts_by_pairs(p, xs.tolist(), ys.tolist())
+
+
+def test_energy_block_memory_is_bounded():
+    """|X| = |Y| = 3,000 at p = 65,521 is 9M pairs, 72 MB of int64
+    differences in one block; in blocks of 2^15 pairs the call peaks
+    under 2 MB, most of it the two count vectors of p and 2p entries."""
+    rng = Random(3)
+    p = 65521
+    xs = np.array(rng.sample(range(p), 3000), dtype=np.int64)
+    ys = np.array(rng.sample(range(p), 3000), dtype=np.int64)
+    tracemalloc.start()
+    try:
+        e, counts = additive_energy(xs, ys, p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 << 20
+    assert int(counts.sum()) == 9_000_000 and e >= 9_000_000
 
 
 def assert_energy_is_oracle(p, xs, ys):
     xs, ys = set(xs), set(ys)
-    e, counts = additive_energy(scalar(p, xs), scalar(p, ys))
+    e, counts = additive_energy(residues(p, xs), residues(p, ys), p)
     assert counts.dtype == np.int64 and counts.shape == (p,)
     assert counts.tolist() == difference_counts_by_pairs(p, xs, ys)
     assert e == energy_by_pairs(p, xs, ys)
@@ -178,8 +214,8 @@ def test_energy_symmetry():
     p = 101
     xs = rng.sample(range(p), 30)
     ys = rng.sample(range(p), 45)
-    e_xy, r_xy = additive_energy(scalar(p, xs), scalar(p, ys))
-    e_yx, r_yx = additive_energy(scalar(p, ys), scalar(p, xs))
+    e_xy, r_xy = additive_energy(residues(p, xs), residues(p, ys), p)
+    e_yx, r_yx = additive_energy(residues(p, ys), residues(p, xs), p)
     assert e_xy == e_yx
     assert r_xy.tolist() == [int(r_yx[(-d) % p]) for d in range(p)]
 
@@ -189,19 +225,20 @@ def test_energy_symmetry():
 
 
 def test_dilate_frozen():
-    X = scalar(7, [1, 2, 3])
-    assert dilate(X, 3).elements == frozenset([3, 6, 2])
-    assert dilate(X, 1).elements == X.elements
-    assert dilate(X, 0).elements == frozenset([0])
+    X = residues(7, [1, 2, 3])
+    assert dilate(X, 3, 7).tolist() == [2, 3, 6]
+    assert dilate(X, 1, 7).tolist() == X.tolist()
+    assert dilate(X, 0, 7).tolist() == [0]
 
 
 def test_dilate_is_bijection_for_units():
     rng = Random(2)
     p = 61
-    X = scalar(p, rng.sample(range(p), 17))
+    X = residues(p, rng.sample(range(p), 17))
     for y in (1, 2, 34, 60):
-        assert len(dilate(X, y)) == len(X)
-    assert dilate(X, 61 + 2).elements == dilate(X, 2).elements
+        assert len(dilate(X, y, p)) == len(X)
+        assert dilate(X, y, p).tolist() == sorted(y * x % p for x in X.tolist())
+    assert dilate(X, 61 + 2, p).tolist() == dilate(X, 2, p).tolist()
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,9 @@ two-byte entries).  The energy cases with p = 1009 (every set drawn by
 sample's set branch) and with --size above p = 7 (ten sets of k = p
 elements) were frozen before the sets were read from bulk generator
 words.  The n = 3 vital cases were frozen before the shift table
-moved to compound-matrix linear forms.  Any change to how balls, closures, eliminations or
+moved to compound-matrix linear forms.  The p = 65521 energy case (a
+16-bit shift in the sampler, differences past 2^16) was frozen before
+the sets went from draw to count as int arrays.  Any change to how balls, closures, eliminations or
 reports are computed that alters an output byte fails here.  Refreeze only for a change meant to alter the
 outputs, and say so where the change is logged.
 """
@@ -86,6 +88,9 @@ CASES = [
     ("vital-n3-json",
      ["vital", "--n", "3", "--p", "5", "--radius", "3", "--k", "2",
       "--format", "json"], ".json"),
+    ("energy-p65521",
+     ["energy", "--p", "65521", "--size", "300", "--trials", "25", "--seed", "5"],
+     ".csv"),
 ]
 
 # case name -> {output file relative to --out: sha256}
@@ -179,6 +184,10 @@ GOLDEN = {
     "vital-n3-json": {
         "out.json":
             "f8779c6d51002a2f451d32d5b4e6e855e9c64b3066bdc9c05195233f295e7633",
+    },
+    "energy-p65521": {
+        "out.csv":
+            "0b090cae7a3ff6a2f6f1cf33bdf8033b6c625d9236365fef94c65069039289bd",
     },
 }
 
