@@ -16,6 +16,7 @@ Exit codes: 0 success, 2 configuration error, 3 budget exceeded,
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import os
 import sys
@@ -23,42 +24,20 @@ import time
 from dataclasses import asdict, dataclass, field as dc_field, fields
 from fractions import Fraction
 from random import Random
-from typing import Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional
 
 from .errors import (
+    DEFAULT_MAX_ELEMENTS,
     BudgetExceeded,
     GenerationFailed,
     Indeterminate,
     SlgrowthError,
 )
-from .energy import additive_energy, assemble_vital_instance, vital_diagnostics
-from .growth import (
-    Budget,
-    DEFAULT_MAX_ELEMENTS,
-    ElementSet,
-    check_deadline,
-    generates,
-    growth_scan,
-    standard_generators,
-    word_ball,
-)
 from .matrices import SpecialLinear, space_field
-from .tracelab import (
-    bin_spread,
-    distinct_tuple_counts,
-    dyadic_bins,
-    f_of,
-    popular_tuple,
-    shift_tables,
-)
-# unused here, but perfbench/traced.py looks both names up in this module
-from .tracelab import class_tuple, trace_tuple  # noqa: F401
-from .torus import rich_torus_scan
-from .lemmas import (cyclic_nonvanishing_suite, f_identity_suite,
-                     kappa_conjugation_suite, lindep_suite, vander_identity_suite)
 from ._version import __version__
+
+if TYPE_CHECKING:
+    from .growth import Budget, ElementSet
 
 try:
     # CPython's builtin sha256 gives hashlib's digests without loading
@@ -91,6 +70,29 @@ SUBCOMMANDS = (
     "energy",
     "vital",
 )
+
+
+def _deferred(module: str, name: str):
+    """A module-level stand-in for module.name that imports the module
+    when first called, so that a run loads only the layers it uses."""
+    def forward(*args, **kwargs):
+        target = getattr(importlib.import_module(f".{module}", __package__), name)
+        return target(*args, **kwargs)
+
+    forward.target = (module, name)  # for the tests, which check it resolves
+    return forward
+
+
+# perfbench/traced.py wraps these names where cli looks them up, so they
+# stay here as forwarders; the stage records of ROADMAP item 5 delete them.
+dyadic_bins = _deferred("tracelab", "dyadic_bins")
+class_tuple = _deferred("tracelab", "class_tuple")
+trace_tuple = _deferred("tracelab", "trace_tuple")
+vander_identity_suite = _deferred("lemmas", "vander_identity_suite")
+f_identity_suite = _deferred("lemmas", "f_identity_suite")
+kappa_conjugation_suite = _deferred("lemmas", "kappa_conjugation_suite")
+lindep_suite = _deferred("lemmas", "lindep_suite")
+cyclic_nonvanishing_suite = _deferred("lemmas", "cyclic_nonvanishing_suite")
 
 
 def stream_rng(seed: int, stream: str) -> Random:
@@ -189,6 +191,8 @@ class ExperimentConfig:
         return list(self.p_list) if self.p_list else [self.p]
 
     def budget(self) -> Budget:
+        from .growth import Budget
+
         return Budget(max_elements=self.budget_elems, max_seconds=self.budget_secs)
 
     def to_dict(self) -> dict:
@@ -217,6 +221,8 @@ class RunManifest:
 def build_generators(cfg: ExperimentConfig, space: SpecialLinear) -> ElementSet:
     """Standard pair, or seeded random elements retried until they
     generate (unchecked when the order exceeds the closure budget)."""
+    from .growth import ElementSet, generates, standard_generators
+
     if cfg.generators == "standard":
         return standard_generators(space)
     stream = space.elements(stream_rng(cfg.seed, f"generators:{space.n}:{space.p}"))
@@ -283,10 +289,13 @@ def _emit_records(cfg: ExperimentConfig, outputs: dict, columns: list,
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each imports the layers it runs when it is called, so that
+# a run loads only those
 
 
 def _cmd_expand(cfg: ExperimentConfig, outputs: dict) -> dict:
+    from .growth import word_ball
+
     space = SpecialLinear(cfg.n, cfg.p)
     gens = build_generators(cfg, space)
     ball = word_ball(gens, cfg.radius, cfg.budget())
@@ -309,6 +318,8 @@ def _cmd_expand(cfg: ExperimentConfig, outputs: dict) -> dict:
 
 
 def _cmd_growth_curve(cfg: ExperimentConfig, outputs: dict) -> dict:
+    from .growth import growth_scan, word_ball
+
     ks = sorted(set(cfg.k_list))
     reports = []
     for p in cfg.primes():
@@ -329,6 +340,8 @@ def _cmd_growth_curve(cfg: ExperimentConfig, outputs: dict) -> dict:
 
 
 def _cmd_torus_scan(cfg: ExperimentConfig, outputs: dict) -> dict:
+    from .torus import rich_torus_scan
+
     space = SpecialLinear(cfg.n, cfg.p)
     gens = build_generators(cfg, space)
     ks = sorted(set(cfg.k_list))
@@ -360,6 +373,10 @@ def _witnesses_for(space: SpecialLinear, source: ElementSet) -> list:
 
 
 def _cmd_trace_lab(cfg: ExperimentConfig, outputs: dict) -> dict:
+    from .growth import word_ball
+    from .tracelab import (bin_spread, distinct_tuple_counts, f_of, popular_tuple,
+                           shift_tables)
+
     space = SpecialLinear(cfg.n, cfg.p)
     gens = build_generators(cfg, space)
     pool = word_ball(gens, cfg.radius, cfg.budget())
@@ -408,6 +425,10 @@ def _cmd_trace_lab(cfg: ExperimentConfig, outputs: dict) -> dict:
 
 
 def _cmd_lemma_check(cfg: ExperimentConfig, outputs: dict) -> dict:
+    from .growth import check_deadline
+
+    # the suites' module loads before the clock starts, not in the first suite
+    importlib.import_module(".lemmas", __package__)
     n, p, trials = cfg.n, cfg.p, cfg.trials
     columns = ["suite", "n", "p", "trials", "passes", "failures"]
     rows = []
@@ -445,8 +466,10 @@ def _cmd_lemma_check(cfg: ExperimentConfig, outputs: dict) -> dict:
 
 
 def _cmd_energy(cfg: ExperimentConfig, outputs: dict) -> dict:
-    # imported here, so that only energy runs load it
+    import numpy as np
+
     from .draws import WordReader
+    from .energy import additive_energy
 
     p = cfg.p
     rng = stream_rng(cfg.seed, f"energy:{p}")
@@ -473,6 +496,9 @@ def _cmd_energy(cfg: ExperimentConfig, outputs: dict) -> dict:
 
 
 def _cmd_vital(cfg: ExperimentConfig, outputs: dict) -> dict:
+    from .growth import ElementSet, word_ball
+    from .vital import assemble_vital_instance, vital_diagnostics
+
     space = SpecialLinear(cfg.n, cfg.p)
     gens = build_generators(cfg, space)
     base = word_ball(gens, cfg.radius, cfg.budget())

@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the default element cap."""
 
 
 class SlgrowthError(Exception):
@@ -11,6 +11,10 @@ class SingularMatrix(SlgrowthError):
 
 class NotInGroup(SlgrowthError):
     """An operation that assumes unit determinant met det != 1."""
+
+
+# stored elements an expansion may hold unless its Budget says otherwise
+DEFAULT_MAX_ELEMENTS = 20_000_000
 
 
 class BudgetExceeded(SlgrowthError):

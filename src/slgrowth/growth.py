@@ -44,10 +44,8 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .errors import BudgetExceeded, Indeterminate
+from .errors import DEFAULT_MAX_ELEMENTS, BudgetExceeded, Indeterminate
 from .matrices import Mat, SpecialLinear
-
-DEFAULT_MAX_ELEMENTS = 20_000_000
 
 # Keyed expansion kernel (see _KeyedExpander): a seen-bitmap of at most
 # 2 MiB (the cap must stay below 2^31 keys), at most 1024 bitmap bits

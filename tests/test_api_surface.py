@@ -15,9 +15,12 @@ reason every imported name must be loaded in the module that imports it.
 """
 
 import ast
+import importlib
 from collections import Counter
 from itertools import chain
 from pathlib import Path
+
+import pytest
 
 import slgrowth
 
@@ -27,8 +30,10 @@ KEPT = {
     "SpecialLinear.classify_semisimple": "perfbench/kernels.py times it",
     "SpecialLinear.random_element": "the per-call reference for elements; "
                                     "tests and perfbench/kernels.py call it",
-    "class_tuple": "perfbench/traced.py looks it up in slgrowth.cli",
-    "trace_tuple": "perfbench/traced.py looks it up in slgrowth.cli",
+    "class_tuple": "perfbench/traced.py looks up slgrowth.cli's forwarder to it",
+    "trace_tuple": "perfbench/traced.py looks up slgrowth.cli's forwarder to it",
+    "__getattr__": "called by the import system (PEP 562)",
+    "__dir__": "called by the import system (PEP 562)",
     "fiber_bound_check": "paper API: the fiber bound, checked by the acceptance tests",
     "full_group": "paper API: the group G itself",
     "wealth": "paper API: the definition dyadic_bins computes in bulk",
@@ -106,6 +111,30 @@ def test_kept_names_are_definitions():
 def test_all_names_resolve():
     assert len(set(slgrowth.__all__)) == len(slgrowth.__all__)
     assert [name for name in slgrowth.__all__ if not hasattr(slgrowth, name)] == []
+
+
+def test_lazy_root_resolves_every_public_name():
+    """The package root imports a name's module on first access (PEP
+    562): each public name is the object its defining module holds, and
+    dir, `import *` and submodule imports see the package as before."""
+    for name in slgrowth.__all__:
+        value = getattr(slgrowth, name)
+        if name == "__version__":
+            continue
+        home = importlib.import_module(f"slgrowth.{slgrowth._HOME[name]}")
+        assert value is vars(home)[name], name
+        # a function or class is listed under the module that defines it
+        if getattr(value, "__module__", "").startswith("slgrowth."):
+            assert value.__module__ == home.__name__, name
+    assert set(dir(slgrowth)) >= set(slgrowth.__all__)
+    namespace: dict = {}
+    exec("from slgrowth import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(slgrowth.__all__)
+    with pytest.raises(AttributeError):
+        getattr(slgrowth, "no_such_name")
+    from slgrowth import draws, polys
+
+    assert polys.__name__ == "slgrowth.polys" and draws.__name__ == "slgrowth.draws"
 
 
 def test_every_import_is_loaded():

@@ -10,6 +10,7 @@ here, end to end.  These tests only read perfbench/.
 """
 
 import ast
+import importlib
 import json
 import math
 import os
@@ -30,6 +31,15 @@ def test_traced_layer_names_resolve(monkeypatch):
     assert sorted(set(traced.LAYERS.values()) - names) == []
     # install() also patches these two cli names
     assert "_DISPATCH" in vars(cli) and "SpecialLinear" in vars(cli)
+    # cli's forwarders import their targets only when called, so check
+    # here that each target exists in its home module
+    forwarders = {name: value.target for name, value in vars(cli).items()
+                  if callable(value) and hasattr(value, "target")}
+    assert {"dyadic_bins", "class_tuple", "trace_tuple", "lindep_suite"} <= set(forwarders)
+    for name, (module, target) in forwarders.items():
+        assert target == name
+        home = importlib.import_module(f"slgrowth.{module}")
+        assert callable(getattr(home, target, None)), f"{module}.{target}"
 
 
 def attributes_of(script: str, name: str) -> set:

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from slgrowth import SpecialLinear, cli, matrices, standard_generators, word_ball
+from slgrowth import SpecialLinear, cli, growth, matrices, standard_generators, word_ball
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -161,12 +161,12 @@ def test_lemma_check_honours_budget_secs():
 def test_lemma_check_budget_names_each_suite(monkeypatch, capsys, stage):
     """Each suite checks the one clock under its own name: expire the
     deadline for one stage only, and the run stops at its first block."""
-    check_deadline = cli.check_deadline
+    check_deadline = growth.check_deadline
 
     def expire_for_stage(count, budget, deadline, what):
         check_deadline(count, budget, 0.0 if what == stage else deadline, what)
 
-    monkeypatch.setattr(cli, "check_deadline", expire_for_stage)
+    monkeypatch.setattr(growth, "check_deadline", expire_for_stage)
     code, _, manifest = run_cli(capsys, ["lemma-check", "--n", "3", "--p", "7",
                                          "--trials", "40", "--budget-secs", "100"])
     assert code == 3
@@ -382,26 +382,60 @@ def test_trace_lab_writes_fvector_sidecar(capsys, tmp_path):
     assert open(sidecar).read().splitlines()[0] == "t_kappa,r0,r1"
 
 
-def test_trace_lab_never_imports_numpy_ma(tmp_path):
-    """numpy.ma (pulled in by np.unique, among others) adds about 1.7 MB
+# the slgrowth modules each subcommand loads, besides cli, errors, field,
+# matrices, polys and _version, which parsing and validation need
+SUBCOMMAND_MODULES = [
+    (["expand", "--n", "2", "--p", "5"], {"growth"}),
+    (["growth-curve", "--n", "2", "--p-list", "5,7", "--radius", "2", "--k", "2"],
+     {"growth"}),
+    (["torus-scan", "--n", "2", "--p", "7", "--radius", "2", "--k", "2"],
+     {"growth", "torus"}),
+    (["trace-lab", "--n", "3", "--p", "7", "--radius", "3", "--k", "3"],
+     {"growth", "tracelab", "vandermonde"}),
+    (["lemma-check", "--n", "4", "--p", "101", "--trials", "20"],
+     {"draws", "growth", "lemmas", "tracelab", "vandermonde"}),
+    (["energy", "--p", "101", "--trials", "5", "--size", "10"], {"draws", "energy"}),
+    (["vital", "--n", "2", "--p", "11", "--radius", "2", "--k", "2"],
+     {"energy", "growth", "tracelab", "vandermonde", "vital"}),
+]
+
+
+def test_each_subcommand_imports_only_its_layers(tmp_path):
+    """A run loads the slgrowth modules its subcommand executes and no
+    others, so that set-up time and peak RSS follow what it runs.
+    numpy.ma (pulled in by np.unique, among others) adds about 1.7 MB
     to the peak RSS of a run that never needs it.  Neither trace-lab's
     shift table nor lemma-check's split regular blocks may load it.  Nor
     may the digests load OpenSSL (hashlib's _hashlib, about 3.5 MB) where
     the interpreter has a builtin sha256."""
     env = dict(os.environ, PYTHONPATH=str(SRC))
-    script = ("import sys\n"
+    script = ("import json, sys\n"
               "from slgrowth import cli\n"
               "code = cli.main(sys.argv[1:])\n"
-              "sys.stderr.write(repr((code, 'numpy.ma' in sys.modules,\n"
-              "                       '_hashlib' in sys.modules)))\n")
+              "sys.stderr.write(json.dumps([code, 'numpy.ma' in sys.modules,\n"
+              "                             '_hashlib' in sys.modules,\n"
+              "                             sorted(m for m in sys.modules\n"
+              "                                    if m.startswith('slgrowth.'))]))\n")
     builtin_sha256 = any(importlib.util.find_spec(name) for name in ("_sha256", "_sha2"))
-    for argv in (["trace-lab", "--n", "3", "--p", "7", "--radius", "3", "--k", "3"],
-                 ["lemma-check", "--n", "4", "--p", "101", "--trials", "20"]):
+    base = {"cli", "errors", "field", "matrices", "polys", "_version"}
+    for argv, layers in SUBCOMMAND_MODULES:
         proc = subprocess.run(
             [sys.executable, "-c", script, *argv, "--out", str(tmp_path / "out.csv")],
             capture_output=True, env=env, timeout=120,
         )
-        assert proc.stderr.decode() == repr((0, False, not builtin_sha256)), argv
+        code, numpy_ma, hashlib_loaded, modules = json.loads(proc.stderr)
+        assert code == 0, argv
+        assert modules == sorted(f"slgrowth.{m}" for m in base | layers), argv
+        assert hashlib_loaded == (not builtin_sha256), argv
+        if argv[0] in ("trace-lab", "lemma-check"):
+            assert not numpy_ma, argv
+    # the package root alone loads neither numpy nor a submodule
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, slgrowth\n"
+         "print(sorted(m for m in sys.modules if m.startswith(('slgrowth', 'numpy'))))"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.stdout.strip() == repr(["slgrowth", "slgrowth._version"])
 
 
 def test_missing_out_directory_fails_before_the_run(capsys, tmp_path,

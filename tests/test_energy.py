@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import slgrowth.energy as energy_mod
+import slgrowth.vital as vital_mod
 from slgrowth import (
     Budget,
     BudgetExceeded,
@@ -341,13 +342,13 @@ def test_assemble_tiny_forced_fiber():
 def test_vital_screens_every_witness_in_one_call(monkeypatch, capsys, tmp_path):
     """One lindep_checks call covers all of D's witnesses, in sorted order."""
     blocks = []
-    checks = energy_mod.lindep_checks
+    checks = vital_mod.lindep_checks
 
     def spy(field, block):
         blocks.append(block)
         return checks(field, block)
 
-    monkeypatch.setattr(energy_mod, "lindep_checks", spy)
+    monkeypatch.setattr(vital_mod, "lindep_checks", spy)
     space, A, D = build_sl2_f11_instance()
     assemble_vital_instance(A, D, 2)
     assert blocks == [[space.split_eigenvalues(t) for t in D.sorted_members()]]
@@ -364,14 +365,14 @@ def test_vital_witness_loop_honours_budget_secs(monkeypatch, capsys, tmp_path):
     (here, in popular_tuple after its dyadic bins) stops the loop at the
     next witness: exit 3 and one manifest that names the stage, no files."""
     calls = []
-    popular_tuple = energy_mod.popular_tuple
+    popular_tuple = vital_mod.popular_tuple
 
     def slow(bins):
         calls.append(bins)
         time.sleep(0.3)
         return popular_tuple(bins)
 
-    monkeypatch.setattr(energy_mod, "popular_tuple", slow)
+    monkeypatch.setattr(vital_mod, "popular_tuple", slow)
     target = tmp_path / "vital.csv"
     argv = ["vital", "--n", "2", "--p", "11", "--radius", "2", "--k", "2",
             "--seed", "6", "--budget-secs", "0.25", "--out", str(target)]
